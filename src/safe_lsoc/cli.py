@@ -16,12 +16,12 @@ from pathlib import Path
 from .harness import (
     MODE_BASELINE,
     MODE_FILTERED,
+    RunResult,
     compute_metrics,
     export_run,
     margin_sweep,
     run_generalization,
     run_seeds,
-    run_task,
     write_sweep_csv,
 )
 from .scenarios import (
@@ -79,36 +79,30 @@ def _summarize(metrics: dict) -> str:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    sc = _resolve_scenario(args.scenario)
-    seeds = _parse_seeds(args.seeds, sc)
-    results = run_seeds(sc, seeds, mode=args.mode)
+def _report_runs(results: list[RunResult], sc: Scenario, out: str | None) -> int:
+    """Export or summarize each run; EXIT_UNSAFE if any halted infeasible."""
     code = EXIT_OK
     for res in results:
-        metrics = (
-            export_run(res, sc, args.out) if args.out else compute_metrics(res, sc)
-        )
+        metrics = export_run(res, sc, out) if out else compute_metrics(res, sc)
         print(_summarize(metrics))
         if res.halted_infeasible:
             code = EXIT_UNSAFE
     return code
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    sc = _resolve_scenario(args.scenario)
+    results = run_seeds(sc, _parse_seeds(args.seeds, sc), mode=args.mode)
+    return _report_runs(results, sc, args.out)
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     sc = _resolve_scenario(args.scenario)
-    seeds = _parse_seeds(args.seeds, sc)
     results = run_seeds(
-        sc, seeds, mode=args.mode, runner=run_generalization, best_of=args.best_of
+        sc, _parse_seeds(args.seeds, sc), mode=args.mode,
+        runner=run_generalization, best_of=args.best_of,
     )
-    code = EXIT_OK
-    for res in results:
-        metrics = (
-            export_run(res, sc, args.out) if args.out else compute_metrics(res, sc)
-        )
-        print(_summarize(metrics))
-        if res.halted_infeasible:
-            code = EXIT_UNSAFE
-    return code
+    return _report_runs(results, sc, args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -18,33 +18,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .zcbf import AffineConstraint, safety_filter
-
 __all__ = [
-    "ComponentTask",
     "CompositionWeights",
     "composition_weights",
     "composite_final_cost",
     "state_weights",
     "composite_control",
-    "safe_composite_control",
 ]
 
 _SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ComponentTask:
-    """One solved component: its terminal target and final-cost parameters."""
-
-    task_id: str
-    target: np.ndarray
-    final_cost_params: tuple[float, float, float] = (0.0, 2.0, 0.0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "target", np.asarray(self.target, dtype=float)
-        )
 
 
 @dataclass
@@ -163,18 +145,3 @@ def composite_control(
         [np.asarray(u, dtype=float) for u in component_controls], axis=0
     )
     return state_w @ controls
-
-
-def safe_composite_control(
-    state_w: np.ndarray,
-    component_controls: Sequence[np.ndarray],
-    constraints: Sequence[AffineConstraint],
-) -> np.ndarray:
-    """Mix the component controls, then project the mixture onto the halfspaces.
-
-    When every component control was already filtered against the same
-    constraint set the mixture is feasible by convexity and passes through
-    unchanged; the projection guards callers that mix raw controls.
-    """
-    u_mix = composite_control(state_w, component_controls)
-    return safety_filter(u_mix, constraints)

@@ -1,11 +1,13 @@
-"""Closed-loop runners, metrics, and deterministic result export.
+"""Closed-loop engine, metrics, and deterministic result export.
 
-run_task drives every agent of a scenario with sampled controls filtered
-through the barrier constraints; run_generalization mixes the controllers of
-several solved tasks into a controller for a new target, reusing one rollout
-batch per agent and step for all components.  Exported CSV files are
-byte-deterministic for a given scenario and seed; wall-clock time lives only
-in metrics.json.
+One engine drives every run.  Each agent draws one rollout batch per control
+step over its factorial subsystem, scores it once per component terminal
+cost, mixes the component controls with task-similarity and desirability
+weights, and, in filtered mode, projects the mix onto the barrier
+constraints.  run_task is the one-component case aimed at the agents' own
+targets; run_generalization mixes the solved components of a composite
+scenario toward its new targets.  Exported CSV files are byte-deterministic
+for a given scenario and seed; wall-clock time lives only in metrics.json.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,11 +33,13 @@ from .mas import assemble_joint, build_subsystems, extract_local_control
 from .scenarios import (
     UAV_DIM,
     UAV_INPUTS,
+    ComponentSpec,
     Scenario,
     ScenarioError,
     obstacle_chain,
     subsystem_final_cost,
     subsystem_problem,
+    validate_physics,
 )
 from .sde import (
     EXIT_INFEASIBLE,
@@ -99,14 +101,6 @@ class RunResult:
         return self.infeasible_agent is not None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SAFE_LSOC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _agent_constraints(chains, x):
     cons = []
     for chain in chains:
@@ -116,7 +110,7 @@ def _agent_constraints(chains, x):
 
 
 class _LoopState:
-    """Shared bookkeeping for the closed-loop runners."""
+    """Per-agent state and records of one closed-loop run."""
 
     def __init__(self, sc: Scenario, seed: int, task_targets: np.ndarray):
         self.sc = sc
@@ -189,27 +183,22 @@ class _LoopState:
                 self.finished[i] = EXIT_INFEASIBLE
 
     def finalize(self, scenario_name: str, mode: str, seed: int) -> RunResult:
+        def controls(rows: list[np.ndarray]) -> np.ndarray:
+            return np.asarray(rows) if rows else np.zeros((0, UAV_INPUTS))
+
         records = []
         for i in range(self.sc.n_agents):
             reason = self.finished[i] or EXIT_MAX_TIME
             traj = Trajectory(
                 times=np.asarray(self.times[i]),
                 states=np.asarray(self.states[i]),
-                controls=(
-                    np.asarray(self.controls[i])
-                    if self.controls[i]
-                    else np.zeros((0, UAV_INPUTS))
-                ),
+                controls=controls(self.controls[i]),
                 exit_reason=reason,
             )
             records.append(
                 AgentRecord(
                     trajectory=traj,
-                    raw_controls=(
-                        np.asarray(self.raw_controls[i])
-                        if self.raw_controls[i]
-                        else np.zeros((0, UAV_INPUTS))
-                    ),
+                    raw_controls=controls(self.raw_controls[i]),
                     ess=np.asarray(self.ess[i]),
                     h_values=np.asarray(self.h_values[i]),
                     component_weights=(
@@ -235,59 +224,18 @@ def run_task(
 ) -> RunResult:
     """Run every agent toward its own target under one noise seed.
 
-    Controls come from per-agent sampled estimates over the agent's factorial
-    subsystem; in filtered mode each control is projected onto the barrier
+    The task is the one-component case of the closed loop: controls come
+    from per-agent sampled estimates over the agent's factorial subsystem,
+    and in filtered mode each control is projected onto the barrier
     constraints before being applied.
     """
     if sc.task.mode != "single":
         raise ScenarioError("run_task requires a scenario with task.mode single")
     _check_mode(mode)
-    t0 = time.perf_counter()
     targets = np.stack([a.target for a in sc.agents])
-    loop = _LoopState(sc, seed, targets)
-    problems = [
-        subsystem_problem(sc, sub, targets, sc.sim.target_radius)
-        for sub in loop.subsystems
-    ]
-    lam = sc.pi.temperature
-    dt = sc.sim.dt
-    max_steps = int(round(sc.sim.max_time / dt))
-
-    for step in range(max_steps):
-        active = loop.active_agents()
-        if not active:
-            break
-        pending: dict[int, tuple] = {}
-        for i in active:
-            sub = loop.subsystems[i]
-            joint = assemble_joint(sub, loop.x)
-            batch = rollout_batch(
-                problems[i],
-                joint,
-                dt,
-                sc.pi.horizon_steps,
-                sc.pi.rollouts,
-                loop.base.child(KIND_ROLLOUT, i, step),
-            )
-            est = estimate_optimal_control(batch, lam)
-            u_raw = extract_local_control(est.control, sub, UAV_INPUTS)
-            if mode == MODE_FILTERED:
-                cons = _agent_constraints(loop.chains, loop.x[i])
-                try:
-                    u = safety_filter(u_raw, cons)
-                except SafetyInfeasible:
-                    loop.mark_infeasible(i)
-                    break
-            else:
-                u = u_raw
-            pending[i] = (u_raw, u, est.effective_sample_size, None)
-        if loop.infeasible_agent is not None:
-            break
-        loop.apply_controls(step, pending)
-
-    result = loop.finalize(scenario_name or sc.name, mode, seed)
-    result.wall_time = time.perf_counter() - t0
-    return result
+    c = sc.costs
+    task = ComponentSpec("task", targets, c.final_c, c.final_d, c.final_alpha)
+    return _run_closed_loop(sc, seed, mode, scenario_name, targets, [task])
 
 
 def run_generalization(
@@ -299,10 +247,6 @@ def run_generalization(
 ) -> RunResult:
     """Steer toward a new target by mixing the component-task controllers.
 
-    Each agent draws one rollout batch per step; every component reuses that
-    batch with its own terminal cost, so the per-component desirability
-    estimates and controls share the same sampled paths.  Mixture weights
-    combine the task-similarity kernel with the per-component desirability.
     best_of > 1 repeats the run with derived seeds and keeps the attempt
     with the smallest summed terminal error.
     """
@@ -313,59 +257,75 @@ def run_generalization(
     _check_mode(mode)
     if best_of < 1:
         raise ValueError("best_of must be >= 1")
-    if best_of == 1:
-        return _run_generalization_once(sc, seed, mode, scenario_name)
     best: RunResult | None = None
     best_err = np.inf
     for attempt in range(best_of):
         attempt_seed = seed if attempt == 0 else seed + 1_000_003 * attempt
-        res = _run_generalization_once(sc, attempt_seed, mode, scenario_name)
+        res = _run_closed_loop(
+            sc, attempt_seed, mode, scenario_name,
+            sc.task.new_targets, sc.task.components,
+        )
         err = sum(
             float(np.linalg.norm(rec.trajectory.states[-1][:2] - res.task_targets[i]))
             for i, rec in enumerate(res.agents)
         )
-        if err < best_err:
+        if best is None or err < best_err:
             best, best_err = res, err
-    assert best is not None
     return best
 
 
-def _run_generalization_once(
-    sc: Scenario, seed: int, mode: str, scenario_name: str | None
+def _run_closed_loop(
+    sc: Scenario,
+    seed: int,
+    mode: str,
+    scenario_name: str | None,
+    targets: np.ndarray,
+    components: Sequence[ComponentSpec],
 ) -> RunResult:
+    """Drive every agent toward targets with a mix of the components' controls.
+
+    Each agent draws one rollout batch per step; every component scores that
+    batch with its own terminal cost.  A lone component uses the batch's own
+    path costs and its raw control is the unfiltered estimate.  Several
+    components are each pre-filtered, so their convex mixture under the
+    kernel and desirability weights is already feasible; the mixture then
+    passes the filter once.  Component weights are recorded for composite
+    scenarios only.
+    """
     t0 = time.perf_counter()
-    comps = sc.task.components
-    new_targets = sc.task.new_targets
-    loop = _LoopState(sc, seed, new_targets)
+    loop = _LoopState(sc, seed, targets)
     lam = sc.pi.temperature
     dt = sc.sim.dt
     max_steps = int(round(sc.sim.max_time / dt))
+    filtered = mode == MODE_FILTERED
+    composite = sc.task.mode == "composite"
 
-    # Shared per-subsystem problem: running cost and exit set target the new
-    # task; per-component terminal costs re-score the same batch.
+    # Per subsystem: the problem sampled for the run's targets, one terminal
+    # cost per component, and the task-similarity weights of the components.
     problems = []
-    comp_final = []  # [agent][component] terminal-cost closure
-    mix_weights = []  # [agent] task-similarity weights
+    comp_final = []
+    mix_weights = []
     for sub in loop.subsystems:
         finals = [
             subsystem_final_cost(
                 sc, sub, comp.targets, comp.final_c, comp.final_d, comp.final_alpha
             )
-            for comp in comps
+            for comp in components
         ]
-        comp_final.append(finals)
         comp_joint_targets = [
-            _joint_target_state(comp.targets, sub.members) for comp in comps
+            _joint_target_state(comp.targets, sub.members) for comp in components
         ]
-        new_joint_target = _joint_target_state(new_targets, sub.members)
+        new_joint_target = _joint_target_state(targets, sub.members)
         kernel = _position_kernel(sub.size, sc.task.kernel_width)
         weights = composition_weights(comp_joint_targets, new_joint_target, kernel)
-        mix_weights.append(weights)
-        problem = subsystem_problem(sc, sub, new_targets, sc.sim.target_radius)
-        problem = dataclasses.replace(
-            problem, final_cost=composite_final_cost(finals, weights, lam)
+        final = (
+            finals[0] if len(finals) == 1
+            else composite_final_cost(finals, weights, lam)
         )
-        problems.append(problem)
+        problem = subsystem_problem(sc, sub, targets, sc.sim.target_radius)
+        problems.append(dataclasses.replace(problem, final_cost=final))
+        comp_final.append(finals)
+        mix_weights.append(weights)
 
     for step in range(max_steps):
         active = loop.active_agents()
@@ -383,33 +343,31 @@ def _run_generalization_once(
                 sc.pi.rollouts,
                 loop.base.child(KIND_ROLLOUT, i, step),
             )
-            cons = (
-                _agent_constraints(loop.chains, loop.x[i])
-                if mode == MODE_FILTERED
-                else []
-            )
-            u_components = []
-            log_z = []
-            ess_values = []
-            try:
-                for phi in comp_final[i]:
-                    s_f = batch.running_costs + phi(batch.exit_states)
-                    est = estimate_optimal_control(
-                        dataclasses.replace(batch, path_costs=s_f), lam
-                    )
-                    u_f = extract_local_control(est.control, sub, UAV_INPUTS)
-                    if mode == MODE_FILTERED:
-                        u_f = safety_filter(u_f, cons)
-                    u_components.append(u_f)
-                    log_z.append(est.log_desirability)
-                    ess_values.append(est.effective_sample_size)
-                w = state_weights(mix_weights[i], np.asarray(log_z))
-                u_raw = composite_control(w, u_components)
-                u = safety_filter(u_raw, cons) if mode == MODE_FILTERED else u_raw
-            except SafetyInfeasible:
-                loop.mark_infeasible(i)
-                break
-            pending[i] = (u_raw, u, min(ess_values), w)
+            scored = [batch] if len(comp_final[i]) == 1 else [
+                dataclasses.replace(
+                    batch, path_costs=batch.running_costs + phi(batch.exit_states)
+                )
+                for phi in comp_final[i]
+            ]
+            ests = [estimate_optimal_control(b, lam) for b in scored]
+            u_components = [
+                extract_local_control(est.control, sub, UAV_INPUTS) for est in ests
+            ]
+            w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
+            if filtered:
+                cons = _agent_constraints(loop.chains, loop.x[i])
+                try:
+                    if len(u_components) > 1:
+                        u_components = [safety_filter(u, cons) for u in u_components]
+                    u_raw = composite_control(w, u_components)
+                    u = safety_filter(u_raw, cons)
+                except SafetyInfeasible:
+                    loop.mark_infeasible(i)
+                    break
+            else:
+                u_raw = u = composite_control(w, u_components)
+            ess = min(est.effective_sample_size for est in ests)
+            pending[i] = (u_raw, u, ess, w if composite else None)
         if loop.infeasible_agent is not None:
             break
         loop.apply_controls(step, pending)
@@ -444,13 +402,8 @@ def run_seeds(
     runner: Callable[..., RunResult] = run_task,
     **kwargs,
 ) -> list[RunResult]:
-    """Run several seeds, in parallel when SAFE_LSOC_THREADS allows."""
-    workers = min(_thread_count(), len(seeds)) or 1
-    if workers == 1:
-        return [runner(sc, s, mode=mode, **kwargs) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(runner, sc, s, mode=mode, **kwargs) for s in seeds]
-        return [f.result() for f in futures]
+    """Run several seeds one after another, in seed order."""
+    return [runner(sc, s, mode=mode, **kwargs) for s in seeds]
 
 
 # Metrics ---------------------------------------------------------------------
@@ -667,9 +620,7 @@ def margin_sweep(
             dataclasses.replace(ob, margin=float(margin)) for ob in sc.obstacles
         )
         sc_m = dataclasses.replace(sc, obstacles=obstacles)
-        from .scenarios import _validate_physics
-
-        _validate_physics(sc_m)
+        validate_physics(sc_m)
         for mode in modes:
             for res in run_seeds(sc_m, seeds, mode=mode):
                 metrics = compute_metrics(res, sc_m)

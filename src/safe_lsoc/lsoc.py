@@ -14,13 +14,12 @@ and the optimal control is read off the first-step noise of the same rollouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .sde import (
-    KIND_ROLLOUT,
     ControlAffineDynamics,
     NoiseStream,
     validate_lambda_condition,
@@ -35,13 +34,10 @@ __all__ = [
     "RolloutBatch",
     "ControlEstimate",
     "DesirabilityUnderflow",
-    "PiConfig",
-    "PiPolicy",
     "rollout_batch",
     "estimate_desirability",
     "estimate_log_desirability",
     "estimate_optimal_control",
-    "pi_policy",
 ]
 
 
@@ -167,8 +163,7 @@ class RolloutBatch:
     """K passive-dynamics rollouts from one start state.
 
     path_costs[k] = running_costs[k] + final_cost(exit_states[k]); dw0 holds
-    the first-step Brownian increments used for control extraction. paths is
-    populated only when requested (shape (H+1, K, M)).
+    the first-step Brownian increments used for control extraction.
     """
 
     x0: np.ndarray
@@ -180,7 +175,6 @@ class RolloutBatch:
     exit_steps: np.ndarray
     running_costs: np.ndarray
     path_costs: np.ndarray
-    paths: np.ndarray | None = None
 
     @property
     def n_rollouts(self) -> int:
@@ -194,7 +188,6 @@ def rollout_batch(
     horizon: int,
     n_rollouts: int,
     stream: NoiseStream,
-    keep_paths: bool = False,
 ) -> RolloutBatch:
     """Integrate K passive rollouts, stopping each at its first boundary hit.
 
@@ -224,9 +217,6 @@ def rollout_batch(
     running = np.zeros(n_rollouts)
     exit_states = np.zeros((n_rollouts, m))
     exit_steps = np.full(n_rollouts, horizon, dtype=int)
-    paths = np.empty((horizon + 1, n_rollouts, m)) if keep_paths else None
-    if paths is not None:
-        paths[0] = states
 
     sigma = dyn.noise_cov
     for t in range(horizon):
@@ -245,12 +235,8 @@ def rollout_batch(
             exit_steps[hit] = t + 1
             alive &= ~hit
         states = new_states
-        if paths is not None:
-            paths[t + 1] = states
         if not np.any(alive):
             # Remaining steps are no-ops once every path has exited.
-            if paths is not None:
-                paths[t + 2 :] = states
             break
     if np.any(alive):
         exit_states[alive] = states[alive]
@@ -266,7 +252,6 @@ def rollout_batch(
         exit_steps=exit_steps,
         running_costs=running,
         path_costs=path_costs,
-        paths=paths,
     )
 
 
@@ -341,73 +326,3 @@ def estimate_optimal_control(
         effective_sample_size=ess,
         log_desirability=log_z,
     )
-
-
-@dataclass
-class PiConfig:
-    """Sampling configuration for the receding-horizon path-integral policy."""
-
-    n_rollouts: int = 2000
-    horizon_steps: int = 60
-    keep_paths: bool = False
-
-
-class PiPolicy:
-    """Receding-horizon policy: fresh batch and control estimate every step.
-
-    The stream for step k is derived from (agent, k), so two policies built
-    with the same base stream produce identical batches at identical steps.
-    The most recent batch and estimate stay accessible for reuse/diagnostics.
-    """
-
-    def __init__(
-        self,
-        problem: LsocProblem,
-        config: PiConfig,
-        dt: float,
-        stream: NoiseStream,
-        agent: int = 0,
-    ):
-        self.problem = problem
-        self.config = config
-        self.dt = dt
-        self.base_stream = stream
-        self.agent = agent
-        self.last_batch: RolloutBatch | None = None
-        self.last_estimate: ControlEstimate | None = None
-
-    def step_index(self, t: float) -> int:
-        return int(round(t / self.dt))
-
-    def batch_at(self, x: np.ndarray, t: float) -> RolloutBatch:
-        stream = self.base_stream.child(
-            KIND_ROLLOUT, self.agent, self.step_index(t)
-        )
-        batch = rollout_batch(
-            self.problem,
-            x,
-            self.dt,
-            self.config.horizon_steps,
-            self.config.n_rollouts,
-            stream,
-            keep_paths=self.config.keep_paths,
-        )
-        self.last_batch = batch
-        return batch
-
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        batch = self.batch_at(x, t)
-        est = estimate_optimal_control(batch, self.problem.lam)
-        self.last_estimate = est
-        return est.control
-
-
-def pi_policy(
-    problem: LsocProblem,
-    config: PiConfig,
-    dt: float,
-    stream: NoiseStream,
-    agent: int = 0,
-) -> PiPolicy:
-    """Convenience constructor mirroring the other module-level operations."""
-    return PiPolicy(problem, config, dt, stream, agent)

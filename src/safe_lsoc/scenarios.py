@@ -24,54 +24,26 @@ from .lsoc import (
     LsocProblem,
     UnionDomain,
 )
-from .mas import AgentGraph, FactorialSubsystem, build_subsystems, joint_dynamics
+from .mas import AgentGraph, FactorialSubsystem, joint_dynamics
 from .sde import ControlAffineDynamics, validate_lambda_condition
 from .zcbf import BarrierFunction, ZcbfChain, build_chain, in_safe_set
 
 __all__ = [
-    "UavState",
     "Obstacle",
     "Scenario",
     "ScenarioError",
     "uav_drift",
     "uav_dynamics",
-    "running_cost_single",
     "running_cost_coop",
     "final_cost",
     "load_scenario",
+    "validate_physics",
     "bundled_scenario_path",
     "list_bundled_scenarios",
 ]
 
 UAV_DIM = 4
 UAV_INPUTS = 2
-
-
-@dataclass(frozen=True)
-class UavState:
-    """Convenience record for one vehicle state."""
-
-    x: float
-    y: float
-    v: float
-    phi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.v, self.phi])
-
-    @classmethod
-    def from_array(cls, arr: Sequence[float]) -> "UavState":
-        x, y, v, phi = (float(a) for a in arr)
-        return cls(x, y, v, phi)
-
-    def wrapped(self) -> "UavState":
-        """Copy with phi folded into (-pi, pi] for display.
-
-        The dynamics and all stored trajectories keep phi unwrapped; fold
-        only when presenting a heading to a reader.
-        """
-        phi = -((-self.phi + np.pi) % (2.0 * np.pi) - np.pi)
-        return UavState(self.x, self.y, self.v, phi)
 
 
 def uav_drift(x: np.ndarray) -> np.ndarray:
@@ -140,24 +112,6 @@ def _obstacle_penalty(
     for ob in obstacles:
         pen = pen + ob.soft_cost * ob.contains(pos)
     return pen
-
-
-def running_cost_single(
-    states: np.ndarray,
-    target: np.ndarray,
-    d_max: float,
-    obstacles: Sequence[Obstacle] = (),
-) -> np.ndarray:
-    """q = clamp(||pos - target|| - d_max, 0) plus obstacle soft cost.
-
-    d_max is the start-to-target distance, so q vanishes anywhere closer to
-    the goal than the start and penalizes straying farther.
-    """
-    states = np.asarray(states, dtype=float)
-    pos = states[..., :2]
-    goal = np.linalg.norm(pos - np.asarray(target, dtype=float), axis=-1)
-    q = np.maximum(goal - d_max, 0.0)
-    return q + _obstacle_penalty(pos, obstacles)
 
 
 def running_cost_coop(
@@ -521,11 +475,11 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         sim=sim,
         task=task,
     )
-    _validate_physics(scenario)
+    validate_physics(scenario)
     return scenario
 
 
-def _validate_physics(sc: Scenario) -> None:
+def validate_physics(sc: Scenario) -> None:
     """Reject setups the solver cannot honestly run."""
     sigma = np.diag([sc.pi.sigma, sc.pi.nu])
     r_derived = sc.control_weight()
@@ -677,28 +631,20 @@ def subsystem_problem(
     sub: FactorialSubsystem,
     targets: np.ndarray,
     target_radius: float,
-    final_params: tuple[float, float, float] | None = None,
 ) -> LsocProblem:
     """First-exit problem one agent solves over its factorial subsystem."""
     dyn_single = sc.agent_dynamics()
     dyn = joint_dynamics(sub, {a: dyn_single for a in sub.members})
     targets = np.asarray(targets, dtype=float)
-    c, d, alpha = final_params if final_params else (
-        sc.costs.final_c, sc.costs.final_d, sc.costs.final_alpha
-    )
     return LsocProblem(
         dynamics=dyn,
         running_cost=subsystem_running_cost(sc, sub, targets),
-        final_cost=subsystem_final_cost(sc, sub, targets, c, d, alpha),
+        final_cost=subsystem_final_cost(sc, sub, targets),
         domain=subsystem_domain(
             sc, sub, targets[sub.central], target_radius
         ),
         lam=sc.pi.temperature,
     )
-
-
-def scenario_subsystems(sc: Scenario) -> list[FactorialSubsystem]:
-    return build_subsystems(sc.graph)
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -2,7 +2,7 @@
 
 Dynamics are dx = g(x) dt + B(x) (u dt + sigma dw) with dw ~ N(0, dt I).
 All randomness flows through NoiseStream so that any (seed, stream_id) pair
-reproduces the same draws regardless of execution order or thread count.
+reproduces the same draws regardless of execution order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "KIND_ROLLOUT",
     "sample_increments",
     "em_step",
-    "simulate",
     "validate_lambda_condition",
 ]
 
@@ -49,11 +48,7 @@ def derive_stream_id(kind: int, agent: int = 0, step: int = 0) -> int:
 
 
 class SimulationError(RuntimeError):
-    """Non-finite state or control encountered; carries the partial trajectory."""
-
-    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """Non-finite state or control encountered."""
 
 
 @dataclass
@@ -172,68 +167,14 @@ class Trajectory:
             raise ValueError("controls must be one shorter than states")
 
 
-# Sentinel exception re-exported by zcbf; defined here so simulate() can halt
-# on it without importing the filter module.
+# Raised by the zcbf filter and re-exported there; defined here, next to the
+# exit reason it maps to.
 class SafetyInfeasible(RuntimeError):
     """No control satisfies the active barrier constraints."""
 
     def __init__(self, message: str, constraint_ids: Sequence[int] = ()):
         super().__init__(message)
         self.constraint_ids = tuple(constraint_ids)
-
-
-def simulate(
-    dyn: ControlAffineDynamics,
-    policy: Callable[[np.ndarray, float], np.ndarray],
-    x0: np.ndarray,
-    dt: float,
-    stop: Callable[[np.ndarray], bool],
-    stream: NoiseStream,
-    max_time: float,
-) -> Trajectory:
-    """Roll the closed loop forward until stop(x) fires or max_time elapses.
-
-    The policy may raise SafetyInfeasible; the partial trajectory is then
-    returned with exit_reason = safety_infeasible. Non-finite controls abort
-    with SimulationError carrying the partial trajectory.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    gen = stream.generator()
-    times = [0.0]
-    states = [x.copy()]
-    controls: list[np.ndarray] = []
-    n_steps = int(round(max_time / dt))
-    reason = EXIT_MAX_TIME
-    for k in range(n_steps):
-        if stop(x):
-            reason = EXIT_TARGET
-            break
-        t = k * dt
-        try:
-            u = np.asarray(policy(x, t), dtype=float)
-        except SafetyInfeasible:
-            reason = EXIT_INFEASIBLE
-            break
-        if not np.all(np.isfinite(u)):
-            raise SimulationError(
-                "policy returned non-finite control",
-                Trajectory(np.array(times), np.array(states),
-                           np.array(controls).reshape(len(controls), -1),
-                           EXIT_MAX_TIME),
-            )
-        dw = sample_increments(gen, dyn.input_dim, dt)
-        x = em_step(dyn, x, u, dt, dw)
-        controls.append(u)
-        times.append((k + 1) * dt)
-        states.append(x.copy())
-    else:
-        if stop(x):
-            reason = EXIT_TARGET
-    n_u = len(controls)
-    ctrl = np.array(controls) if n_u else np.zeros((0, dyn.input_dim))
-    return Trajectory(np.array(times), np.array(states), ctrl, reason)
 
 
 def validate_lambda_condition(

@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safe_lsoc.compose import (
-    ComponentTask,
     composite_control,
     composite_final_cost,
     composition_weights,
-    safe_composite_control,
     state_weights,
 )
-from safe_lsoc.zcbf import AffineConstraint
 
 
 def hull_distance(point: np.ndarray, vertices: np.ndarray) -> float:
@@ -226,30 +223,3 @@ class TestCompositeFinalCost:
             composite_final_cost(costs[:1], w)
         with pytest.raises(ValueError):
             composite_final_cost(costs, w, lam=0.0)
-
-
-class TestSafeCompositeControl:
-    def test_feasible_mixture_untouched(self):
-        cons = [AffineConstraint(a=np.array([1.0, 0.0]), b=-10.0)]
-        u = safe_composite_control(
-            np.array([0.5, 0.5]),
-            [np.array([1.0, 1.0]), np.array([-1.0, 1.0])],
-            cons,
-        )
-        np.testing.assert_array_equal(u, [0.0, 1.0])
-
-    def test_raw_mixture_gets_projected(self):
-        cons = [AffineConstraint(a=np.array([0.0, 1.0]), b=2.0)]
-        u = safe_composite_control(
-            np.array([0.5, 0.5]),
-            [np.array([0.0, 0.0]), np.array([2.0, 0.0])],
-            cons,
-        )
-        np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-12)
-
-
-class TestComponentTask:
-    def test_target_coerced_to_array(self):
-        t = ComponentTask(task_id="a", target=[1, 2])
-        assert t.target.dtype == float
-        np.testing.assert_array_equal(t.target, [1.0, 2.0])

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from safe_lsoc import harness
 from safe_lsoc.harness import (
     AgentRecord,
     RunResult,
@@ -24,7 +25,13 @@ from safe_lsoc.harness import (
     write_trajectories_csv,
 )
 from safe_lsoc.scenarios import ScenarioError
-from safe_lsoc.sde import EXIT_MAX_TIME, EXIT_TARGET, Trajectory
+from safe_lsoc.sde import (
+    EXIT_INFEASIBLE,
+    EXIT_MAX_TIME,
+    EXIT_TARGET,
+    SafetyInfeasible,
+    Trajectory,
+)
 
 from conftest import tiny_composite_dict, tiny_scenario_dict
 
@@ -117,18 +124,6 @@ class TestRunSeeds:
         singles = [run_task(tiny_scenario, s, mode="filtered") for s in (0, 1)]
         for got, want in zip(batch, singles):
             assert_same_run(got, want)
-
-    def test_thread_pool_keeps_order_and_values(self, tiny_scenario, monkeypatch):
-        sequential = run_seeds(tiny_scenario, [0, 1, 4], mode="filtered")
-        monkeypatch.setenv("SAFE_LSOC_THREADS", "3")
-        threaded = run_seeds(tiny_scenario, [0, 1, 4], mode="filtered")
-        for got, want in zip(threaded, sequential):
-            assert_same_run(got, want)
-
-    def test_bad_thread_env_falls_back_to_serial(self, tiny_scenario, monkeypatch):
-        monkeypatch.setenv("SAFE_LSOC_THREADS", "lots")
-        batch = run_seeds(tiny_scenario, [0], mode="baseline")
-        assert batch[0].seed == 0
 
 
 def synthetic_result(sc) -> RunResult:
@@ -344,3 +339,72 @@ class TestRunGeneralization:
                 ra.trajectory.controls, rb.trajectory.controls
             )
             assert ra.trajectory.exit_reason == rb.trajectory.exit_reason
+
+
+class TestRawControlContract:
+    """The recorded raw control is what the filter saw for the applied one."""
+
+    def test_single_task_records_unfiltered_estimate(self, tiny_scenario):
+        res = run_task(tiny_scenario, seed=0, mode="filtered")
+        assert compute_metrics(res, tiny_scenario)["filter_activation_count"] > 0
+        assert res.agents[0].component_weights is None
+
+    def test_composite_mix_of_filtered_components_is_feasible(
+        self, write_scenario
+    ):
+        # The disc beside the corridor binds the component controls on about
+        # a third of the steps; their mix, pre-filtered, never needs it.
+        data = tiny_composite_dict()
+        data["obstacles"] = [{"center": [8.0, 9.5], "radius": 2.0, "margin": 1.0}]
+        sc = write_scenario(data, "corridor")
+        res = run_generalization(sc, seed=0, mode="filtered")
+        assert compute_metrics(res, sc)["filter_activation_count"] == 0
+        assert res.agents[0].component_weights is not None
+
+
+def fail_filter_on_call(monkeypatch, k: int) -> None:
+    """Make the k-th safety_filter call of the closed loop infeasible."""
+    real = harness.safety_filter
+    calls = [0]
+
+    def flaky(u, constraints):
+        calls[0] += 1
+        if calls[0] == k:
+            raise SafetyInfeasible("forced", (0,))
+        return real(u, constraints)
+
+    monkeypatch.setattr(harness, "safety_filter", flaky)
+
+
+class TestInfeasibleHalt:
+    def test_run_task_halts_every_agent_at_that_step(
+        self, pair_scenario, monkeypatch
+    ):
+        # Two agents, one filter call each per step: call 8 is agent 1 at
+        # step 3, after agent 0's step-3 control was already computed.
+        fail_filter_on_call(monkeypatch, 8)
+        res = run_task(pair_scenario, seed=0, mode="filtered")
+        assert res.infeasible_agent == 1
+        assert compute_metrics(res, pair_scenario)["infeasible_agent"] == 1
+        dt = pair_scenario.sim.dt
+        for rec in res.agents:
+            assert rec.trajectory.exit_reason == EXIT_INFEASIBLE
+            assert len(rec.trajectory.controls) == 3
+            assert len(rec.raw_controls) == 3
+            assert rec.trajectory.times[-1] == pytest.approx(3 * dt)
+
+    def test_run_generalization_halts_at_that_step(
+        self, tiny_composite, monkeypatch
+    ):
+        # Two pre-filtered components plus the mixture: three calls per
+        # step, so call 14 is the second component's filter at step 4.
+        fail_filter_on_call(monkeypatch, 14)
+        res = run_generalization(tiny_composite, seed=0, mode="filtered")
+        assert res.infeasible_agent == 0
+        rec = res.agents[0]
+        assert rec.trajectory.exit_reason == EXIT_INFEASIBLE
+        assert len(rec.trajectory.controls) == 4
+        assert rec.component_weights.shape == (4, 2)
+        assert rec.trajectory.times[-1] == pytest.approx(
+            4 * tiny_composite.sim.dt
+        )

@@ -13,8 +13,6 @@ from safe_lsoc.lsoc import (
     BoxBoundary,
     DesirabilityUnderflow,
     LsocProblem,
-    PiConfig,
-    PiPolicy,
     RolloutBatch,
     UnionDomain,
     estimate_desirability,
@@ -151,15 +149,23 @@ class TestRolloutBatch:
             rollout_batch(p, np.array([1.0]), 0.02, 10, 8, NoiseStream(0))
 
     def test_paths_frozen_after_exit(self):
+        # A rollout that exits before the horizon keeps its exit data when
+        # the same stream is integrated for twice as many steps.
         p = line_problem()
-        batch = rollout_batch(
-            p, np.array([0.9]), 0.02, 30, 32, NoiseStream(1), keep_paths=True
+        x0 = np.array([0.9])
+        short = rollout_batch(p, x0, 0.02, 30, 32, NoiseStream(1))
+        long = rollout_batch(p, x0, 0.02, 60, 32, NoiseStream(1))
+        exited = short.exit_steps < 30
+        assert np.any(exited)
+        np.testing.assert_array_equal(
+            short.exit_steps[exited], long.exit_steps[exited]
         )
-        assert batch.paths.shape == (31, 32, 1)
-        for k in range(32):
-            stop = batch.exit_steps[k]
-            frozen = batch.paths[stop:, k, 0]
-            np.testing.assert_array_equal(frozen, np.full_like(frozen, frozen[0]))
+        np.testing.assert_array_equal(
+            short.exit_states[exited], long.exit_states[exited]
+        )
+        np.testing.assert_array_equal(
+            short.running_costs[exited], long.running_costs[exited]
+        )
 
     def test_exit_states_clamped_to_box(self):
         p = line_problem()
@@ -259,31 +265,6 @@ class TestControlEstimate:
         np.testing.assert_allclose(
             est.log_desirability, estimate_log_desirability(batch, 0.9), rtol=1e-12
         )
-
-
-class TestPiPolicy:
-    def test_same_stream_same_controls(self):
-        p = line_problem()
-        cfg = PiConfig(n_rollouts=32, horizon_steps=10)
-        pol_a = PiPolicy(p, cfg, 0.05, NoiseStream(4), agent=0)
-        pol_b = PiPolicy(p, cfg, 0.05, NoiseStream(4), agent=0)
-        x = np.array([0.2])
-        np.testing.assert_array_equal(pol_a(x, 0.35), pol_b(x, 0.35))
-        assert pol_a.last_batch is not None
-        assert pol_a.last_estimate is not None
-
-    def test_distinct_agents_decorrelate(self):
-        p = line_problem()
-        cfg = PiConfig(n_rollouts=32, horizon_steps=10)
-        u0 = PiPolicy(p, cfg, 0.05, NoiseStream(4), agent=0)(np.array([0.2]), 0.0)
-        u1 = PiPolicy(p, cfg, 0.05, NoiseStream(4), agent=1)(np.array([0.2]), 0.0)
-        assert np.max(np.abs(u0 - u1)) > 0
-
-    def test_step_index_rounding(self):
-        p = line_problem()
-        pol = PiPolicy(p, PiConfig(8, 5), 0.05, NoiseStream(0))
-        assert pol.step_index(0.35) == 7
-        assert pol.step_index(0.3500000001) == 7
 
 
 class TestGridOracle:

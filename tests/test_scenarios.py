@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safe_lsoc.mas import build_subsystems
 from safe_lsoc.scenarios import (
     UAV_DIM,
     UAV_INPUTS,
     Obstacle,
     ScenarioError,
-    UavState,
     bundled_scenario_path,
     final_cost,
     list_bundled_scenarios,
     load_scenario,
     obstacle_chain,
     running_cost_coop,
-    running_cost_single,
-    scenario_subsystems,
+    subsystem_final_cost,
     subsystem_problem,
     subsystem_running_cost,
     uav_drift,
@@ -58,26 +57,6 @@ class TestVehicleModel:
         with pytest.raises(ValueError):
             uav_dynamics(nu=-0.01)
 
-    def test_state_round_trip(self):
-        s = UavState(1.0, -2.0, 0.5, 4.0)
-        assert UavState.from_array(s.as_array()) == s
-
-    @pytest.mark.parametrize(
-        "phi,expected",
-        [
-            (0.0, 0.0),
-            (np.pi, np.pi),
-            (-np.pi, np.pi),
-            (3.0 * np.pi / 2.0, -np.pi / 2.0),
-            (2.0 * np.pi, 0.0),
-            (-7.0 * np.pi / 3.0, -np.pi / 3.0),
-        ],
-    )
-    def test_heading_wrap_for_display(self, phi, expected):
-        wrapped = UavState(0.0, 0.0, 0.0, phi).wrapped()
-        assert wrapped.phi == pytest.approx(expected, abs=1e-12)
-        assert -np.pi < wrapped.phi <= np.pi
-
 
 class TestObstacle:
     def test_keepout_radius(self):
@@ -110,6 +89,14 @@ class TestObstacle:
         assert chain.relative_degree == 1
 
 
+def goal_cost(states, target, d_max, obstacles=()):
+    """Running cost of an agent with no cooperation partners."""
+    return running_cost_coop(
+        states, [target], d_max, pair_blocks=(), goal_weight=1.0,
+        pair_weight=0.0, obstacles=obstacles,
+    )
+
+
 class TestRunningCosts:
     @given(
         px=st.floats(-30.0, 30.0),
@@ -118,7 +105,7 @@ class TestRunningCosts:
     )
     @settings(max_examples=200)
     def test_single_cost_nonnegative(self, px, py, d_max):
-        q = running_cost_single(
+        q = goal_cost(
             np.array([px, py, 1.0, 0.0]),
             np.array([3.0, 4.0]),
             d_max,
@@ -130,11 +117,11 @@ class TestRunningCosts:
         target = np.array([10.0, 0.0])
         d_max = 10.0
         states = np.array([[0.0, 0.0, 1.0, 0.0], [5.0, 0.0, 1.0, 0.0]])
-        q = running_cost_single(states, target, d_max)
+        q = goal_cost(states, target, d_max)
         np.testing.assert_array_equal(q, [0.0, 0.0])
 
     def test_single_cost_linear_beyond_radius(self):
-        q = running_cost_single(
+        q = goal_cost(
             np.array([-4.0, 0.0, 1.0, 0.0]), np.array([10.0, 0.0]), 10.0
         )
         assert float(q) == pytest.approx(4.0, abs=1e-12)
@@ -146,8 +133,8 @@ class TestRunningCosts:
         target, d_max = np.array([0.0, 8.0]), 8.0
         for pos, expected in [([0.5, 0.0], 160.0), ([2.5, 0.0], 0.0)]:
             state = np.array([pos[0], pos[1], 1.0, 0.0])
-            with_ob = running_cost_single(state, target, d_max, [ob])
-            without = running_cost_single(state, target, d_max)
+            with_ob = goal_cost(state, target, d_max, [ob])
+            without = goal_cost(state, target, d_max)
             assert float(with_ob - without) == pytest.approx(expected, abs=1e-12)
 
     def test_coop_cost_combines_goal_and_pair_terms(self):
@@ -321,20 +308,20 @@ class TestScenarioLoading:
 class TestSubsystemPlumbing:
     def test_one_subsystem_per_agent(self, bundled):
         sc = bundled("three_uav_team")
-        subs = scenario_subsystems(sc)
+        subs = build_subsystems(sc.graph)
         assert [s.central for s in subs] == [0, 1, 2]
         # middle agent sees both neighbors
         assert set(subs[1].members) == {0, 1, 2}
 
     def test_running_cost_zero_at_start(self, tiny_scenario):
-        sub = scenario_subsystems(tiny_scenario)[0]
+        sub = build_subsystems(tiny_scenario.graph)[0]
         targets = np.array([a.target for a in tiny_scenario.agents])
         q = subsystem_running_cost(tiny_scenario, sub, targets)
         assert float(np.asarray(q(tiny_scenario.agents[0].start))) == 0.0
 
     def test_coop_running_cost_zero_at_joint_start(self, bundled):
         sc = bundled("three_uav_team")
-        subs = scenario_subsystems(sc)
+        subs = build_subsystems(sc.graph)
         targets = np.array([a.target for a in sc.agents])
         for sub in subs:
             joint0 = np.concatenate(
@@ -344,7 +331,7 @@ class TestSubsystemPlumbing:
             assert float(np.asarray(q(joint0))) == 0.0
 
     def test_problem_assembly_respects_lambda(self, tiny_scenario):
-        sub = scenario_subsystems(tiny_scenario)[0]
+        sub = build_subsystems(tiny_scenario.graph)[0]
         targets = np.array([a.target for a in tiny_scenario.agents])
         prob = subsystem_problem(
             tiny_scenario, sub, targets, tiny_scenario.sim.target_radius
@@ -358,17 +345,18 @@ class TestSubsystemPlumbing:
         assert bool(prob.domain.boundary_mask(at_target[None])[0])
 
     def test_final_cost_params_override(self, tiny_composite):
-        sub = scenario_subsystems(tiny_composite)[0]
+        sub = build_subsystems(tiny_composite.graph)[0]
         comp = tiny_composite.task.components[0]
-        prob = subsystem_problem(
+        phi = subsystem_final_cost(
             tiny_composite,
             sub,
             comp.targets,
-            tiny_composite.sim.target_radius,
-            final_params=(comp.final_c, comp.final_d, comp.final_alpha),
+            comp.final_c,
+            comp.final_d,
+            comp.final_alpha,
         )
         x = np.array([14.0, 11.0, 2.5, 0.0])
         expected = final_cost(
             x, comp.targets[0], comp.final_c, comp.final_d, comp.final_alpha
         )
-        np.testing.assert_allclose(prob.final_cost(x), expected, rtol=1e-12)
+        np.testing.assert_allclose(phi(x), expected, rtol=1e-12)

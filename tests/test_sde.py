@@ -1,4 +1,4 @@
-"""Dynamics container, noise streams, and the Euler-Maruyama loop."""
+"""Dynamics container, noise streams, and the Euler-Maruyama step."""
 
 from __future__ import annotations
 
@@ -8,18 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safe_lsoc.sde import (
-    EXIT_INFEASIBLE,
     EXIT_MAX_TIME,
-    EXIT_TARGET,
     ControlAffineDynamics,
     NoiseStream,
-    SafetyInfeasible,
     SimulationError,
     Trajectory,
     derive_stream_id,
     em_step,
     sample_increments,
-    simulate,
     validate_lambda_condition,
 )
 
@@ -171,73 +167,6 @@ class TestDynamicsValidation:
         else:
             with pytest.raises(ValueError):
                 build()
-
-
-class TestSimulate:
-    def test_immediate_stop(self):
-        dyn = double_integrator()
-        traj = simulate(
-            dyn, lambda x, t: np.array([0.0]), np.zeros(2), 0.1,
-            stop=lambda x: True, stream=NoiseStream(0), max_time=1.0,
-        )
-        assert traj.exit_reason == EXIT_TARGET
-        assert len(traj.states) == 1 and len(traj.controls) == 0
-
-    def test_max_time_and_uniform_times(self):
-        dyn = double_integrator()
-        traj = simulate(
-            dyn, lambda x, t: np.array([0.0]), np.zeros(2), 0.1,
-            stop=lambda x: False, stream=NoiseStream(0), max_time=0.5,
-        )
-        assert traj.exit_reason == EXIT_MAX_TIME
-        assert len(traj.controls) == 5
-        np.testing.assert_allclose(np.diff(traj.times), 0.1)
-        assert np.all(np.diff(traj.times) > 0)
-
-    def test_infeasible_policy_keeps_partial_run(self):
-        dyn = double_integrator()
-        calls = {"n": 0}
-
-        def policy(x, t):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise SafetyInfeasible("squeezed", (0, 1))
-            return np.array([0.0])
-
-        traj = simulate(
-            dyn, policy, np.zeros(2), 0.1,
-            stop=lambda x: False, stream=NoiseStream(0), max_time=1.0,
-        )
-        assert traj.exit_reason == EXIT_INFEASIBLE
-        assert len(traj.controls) == 3
-
-    def test_nonfinite_control_aborts_with_partial(self):
-        dyn = double_integrator()
-
-        def policy(x, t):
-            return np.array([np.inf]) if t > 0.15 else np.array([0.0])
-
-        with pytest.raises(SimulationError) as err:
-            simulate(dyn, policy, np.zeros(2), 0.1,
-                     stop=lambda x: False, stream=NoiseStream(0), max_time=1.0)
-        assert err.value.trajectory is not None
-        assert len(err.value.trajectory.controls) == 2
-
-    def test_bitwise_repeatable(self):
-        dyn = double_integrator()
-        runs = [
-            simulate(dyn, lambda x, t: np.array([0.3]), np.zeros(2), 0.05,
-                     stop=lambda x: False, stream=NoiseStream(9, 1), max_time=1.0)
-            for _ in range(2)
-        ]
-        np.testing.assert_array_equal(runs[0].states, runs[1].states)
-        np.testing.assert_array_equal(runs[0].controls, runs[1].controls)
-
-    def test_bad_dt(self):
-        dyn = double_integrator()
-        with pytest.raises(ValueError):
-            simulate(dyn, lambda x, t: np.zeros(1), np.zeros(2), 0.0,
-                     stop=lambda x: False, stream=NoiseStream(0), max_time=1.0)
 
 
 class TestLambdaCondition:
