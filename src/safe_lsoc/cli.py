@@ -86,6 +86,12 @@ def _report_runs(results: list[RunResult], sc: Scenario, out: str | None) -> int
         metrics = export_run(res, sc, out) if out else compute_metrics(res, sc)
         print(_summarize(metrics))
         if res.halted_infeasible:
+            ids = list(res.infeasible_constraints or ())
+            print(
+                f"error: seed {res.seed}: agent {res.infeasible_agent} halted, "
+                f"the barrier half-spaces of obstacles {ids} admit no control",
+                file=sys.stderr,
+            )
             code = EXIT_UNSAFE
     return code
 

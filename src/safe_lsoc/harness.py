@@ -36,7 +36,8 @@ from .scenarios import (
     ComponentSpec,
     Scenario,
     ScenarioError,
-    obstacle_chain,
+    disc_barriers,
+    obstacle_discs,
     subsystem_final_cost,
     subsystem_problem,
     validate_physics,
@@ -53,7 +54,7 @@ from .sde import (
     em_step,
     sample_increments,
 )
-from .zcbf import constraint_coeffs, lower_degree_terms, safety_filter
+from .zcbf import AffineConstraint, safety_filter
 
 __all__ = [
     "AgentRecord",
@@ -94,19 +95,13 @@ class RunResult:
     agents: list[AgentRecord]
     task_targets: np.ndarray  # (n_agents, 2) targets the run steered toward
     infeasible_agent: int | None = None
+    # Obstacle indices of a minimal conflicting set of half-spaces.
+    infeasible_constraints: tuple[int, ...] | None = None
     wall_time: float = 0.0
 
     @property
     def halted_infeasible(self) -> bool:
         return self.infeasible_agent is not None
-
-
-def _agent_constraints(chains, x):
-    cons = []
-    for chain in chains:
-        cons.append(constraint_coeffs(chain, x))
-        cons.extend(lower_degree_terms(chain, x))
-    return cons
 
 
 class _LoopState:
@@ -118,9 +113,11 @@ class _LoopState:
         self.base = NoiseStream(seed)
         self.dyn = sc.agent_dynamics()
         self.subsystems = build_subsystems(sc.graph)
-        self.chains = [obstacle_chain(ob, self.dyn) for ob in sc.obstacles]
+        self.discs = obstacle_discs(sc.obstacles)
         n = sc.n_agents
         self.x = [np.array(a.start, dtype=float) for a in sc.agents]
+        # (h, A, b) of every disc at each agent's current state.
+        self.barriers = [self._barriers_at(x) for x in self.x]
         self.sim_gens = [
             self.base.child(KIND_SIM, i, 0).generator() for i in range(n)
         ]
@@ -130,17 +127,21 @@ class _LoopState:
         self.raw_controls: list[list[np.ndarray]] = [[] for _ in range(n)]
         self.controls: list[list[np.ndarray]] = [[] for _ in range(n)]
         self.ess: list[list[float]] = [[] for _ in range(n)]
-        self.h_values = [[self._h_at(self.x[i])] for i in range(n)]
+        self.h_values = [[bar[0]] for bar in self.barriers]
         self.weights: list[list[np.ndarray]] = [[] for _ in range(n)]
         self.infeasible_agent: int | None = None
+        self.infeasible_constraints: tuple[int, ...] | None = None
         for i in range(n):
             if self._reached(i):
                 self.finished[i] = EXIT_TARGET
 
-    def _h_at(self, x: np.ndarray) -> np.ndarray:
-        if not self.chains:
-            return np.zeros((0, 0))
-        return np.stack([chain.values(x) for chain in self.chains])
+    def _barriers_at(self, x: np.ndarray) -> tuple:
+        return disc_barriers(x, self.discs, self.dyn.noise_cov)
+
+    def constraints(self, i: int) -> list[AffineConstraint]:
+        """One half-space per obstacle, in obstacle order, at agent i's state."""
+        _, a_mat, b_vec = self.barriers[i]
+        return [AffineConstraint(a=a, b=float(b)) for a, b in zip(a_mat, b_vec)]
 
     def _reached(self, i: int) -> bool:
         return (
@@ -166,7 +167,8 @@ class _LoopState:
             self.raw_controls[i].append(np.asarray(u_raw, dtype=float))
             self.controls[i].append(np.asarray(u, dtype=float))
             self.ess[i].append(float(ess))
-            self.h_values[i].append(self._h_at(self.x[i]))
+            self.barriers[i] = self._barriers_at(self.x[i])
+            self.h_values[i].append(self.barriers[i][0])
             if w is not None:
                 self.weights[i].append(np.asarray(w, dtype=float))
             if self._reached(i):
@@ -176,8 +178,9 @@ class _LoopState:
                 # since the exit-reason vocabulary is fixed.
                 self.finished[i] = EXIT_MAX_TIME
 
-    def mark_infeasible(self, agent: int) -> None:
+    def mark_infeasible(self, agent: int, constraint_ids) -> None:
         self.infeasible_agent = agent
+        self.infeasible_constraints = tuple(int(j) for j in constraint_ids)
         for i, f in enumerate(self.finished):
             if f is None:
                 self.finished[i] = EXIT_INFEASIBLE
@@ -213,6 +216,7 @@ class _LoopState:
             agents=records,
             task_targets=self.task_targets,
             infeasible_agent=self.infeasible_agent,
+            infeasible_constraints=self.infeasible_constraints,
         )
 
 
@@ -355,14 +359,14 @@ def _run_closed_loop(
             ]
             w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
             if filtered:
-                cons = _agent_constraints(loop.chains, loop.x[i])
+                cons = loop.constraints(i)
                 try:
                     if len(u_components) > 1:
                         u_components = [safety_filter(u, cons) for u in u_components]
                     u_raw = composite_control(w, u_components)
                     u = safety_filter(u_raw, cons)
-                except SafetyInfeasible:
-                    loop.mark_infeasible(i)
+                except SafetyInfeasible as exc:
+                    loop.mark_infeasible(i, exc.constraint_ids)
                     break
             else:
                 u_raw = u = composite_control(w, u_components)
@@ -474,6 +478,10 @@ def compute_metrics(result: RunResult, sc: Scenario) -> dict:
             float(r.ess.min()) if r.ess.size else 0.0 for r in result.agents
         ],
         "infeasible_agent": result.infeasible_agent,
+        "infeasible_constraints": (
+            None if result.infeasible_constraints is None
+            else list(result.infeasible_constraints)
+        ),
         "wall_time_s": result.wall_time,
     }
     return metrics

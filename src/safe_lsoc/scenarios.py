@@ -10,6 +10,7 @@ validates the schema strictly and rejects physically inconsistent setups.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,7 @@ from .lsoc import (
 )
 from .mas import AgentGraph, FactorialSubsystem, joint_dynamics
 from .sde import ControlAffineDynamics, validate_lambda_condition
-from .zcbf import BarrierFunction, ZcbfChain, build_chain, in_safe_set
+from .zcbf import BarrierFunction, ZcbfChain, build_chain
 
 __all__ = [
     "Obstacle",
@@ -34,6 +35,8 @@ __all__ = [
     "ScenarioError",
     "uav_drift",
     "uav_dynamics",
+    "obstacle_discs",
+    "disc_barriers",
     "running_cost_coop",
     "final_cost",
     "load_scenario",
@@ -103,6 +106,49 @@ class Obstacle:
         pos = np.asarray(pos, dtype=float)
         d = pos - np.asarray(self.center)
         return np.einsum("...i,...i->...", d, d) < self.radius**2
+
+
+def obstacle_discs(obstacles: Sequence[Obstacle]) -> np.ndarray:
+    """(n_obs, 3) table of cx, cy, (radius + margin)^2 for disc_barriers."""
+    return np.array(
+        [[ob.center[0], ob.center[1], ob.keepout_radius**2] for ob in obstacles],
+        dtype=float,
+    ).reshape(-1, 3)
+
+
+def disc_barriers(
+    x: np.ndarray, discs: np.ndarray, noise_cov: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form barrier chain of every keep-out disc at one vehicle state.
+
+    Under the unicycle a disc has relative degree 1.  With dx = x - cx,
+    dy = y - cy, r = dx cos(phi) + dy sin(phi),
+    k = 2 (dy cos(phi) - dx sin(phi)) and S_v, S_phi the rows of the noise
+    matrix:
+
+        h0 = dx^2 + dy^2 - rho^2,   h1 = h0 + 2 v r,
+        a  = (2 r, v k),
+        b  = -h1 - (2 v^2 + 2 v r) - (k S_v.S_phi - v r |S_phi|^2).
+
+    Returns h (n_obs, 2) with the levels h0, h1, and the top-level
+    half-spaces a . u >= b as A (n_obs, 2) and b (n_obs,).  These are the
+    values obstacle_chain and constraint_coeffs approximate by finite
+    differences; the position rows of B are zero, so no lower level couples
+    to the control.
+    """
+    px, py, v, phi = (float(c) for c in x)
+    c, s = math.cos(phi), math.sin(phi)
+    dx = px - discs[:, 0]
+    dy = py - discs[:, 1]
+    h0 = dx * dx + dy * dy - discs[:, 2]
+    r = dx * c + dy * s
+    h1 = h0 + 2.0 * v * r
+    k = 2.0 * (dy * c - dx * s)
+    s_v, s_phi = np.asarray(noise_cov, dtype=float)
+    trace = k * float(s_v @ s_phi) - v * r * float(s_phi @ s_phi)
+    a = np.stack([2.0 * r, v * k], axis=1)
+    b = -h1 - (2.0 * v * v + 2.0 * v * r) - trace
+    return np.stack([h0, h1], axis=1), a, b
 
 
 def _obstacle_penalty(
@@ -504,11 +550,12 @@ def validate_physics(sc: Scenario) -> None:
                     f"target {tuple(t)} lies inside obstacle {j}'s keep-out disc"
                 )
 
-    dyn = sc.agent_dynamics()
-    for j, ob in enumerate(sc.obstacles):
-        chain = obstacle_chain(ob, dyn, [a.start for a in sc.agents])
-        for i, a in enumerate(sc.agents):
-            if not in_safe_set(chain, a.start):
+    discs = obstacle_discs(sc.obstacles)
+    noise = sc.agent_dynamics().noise_cov
+    start_h = [disc_barriers(a.start, discs, noise)[0] for a in sc.agents]
+    for j in range(len(sc.obstacles)):
+        for i, h in enumerate(start_h):
+            if np.any(h[j] < 0.0):
                 raise ScenarioError(
                     f"agents[{i}] starts outside the safe set of obstacle {j}"
                 )

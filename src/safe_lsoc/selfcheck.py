@@ -21,9 +21,20 @@ from .lsoc import (
     rollout_batch,
 )
 from .hjb import GridSpec, grid_hjb_oracle
-from .scenarios import Obstacle, obstacle_chain, uav_dynamics
+from .scenarios import (
+    Obstacle,
+    disc_barriers,
+    obstacle_chain,
+    obstacle_discs,
+    uav_dynamics,
+)
 from .sde import ControlAffineDynamics, NoiseStream, SafetyInfeasible
-from .zcbf import AffineConstraint, detect_relative_degree, safety_filter
+from .zcbf import (
+    AffineConstraint,
+    constraint_coeffs,
+    detect_relative_degree,
+    safety_filter,
+)
 
 __all__ = [
     "CheckResult",
@@ -317,6 +328,10 @@ def chain_closed_form_check(
     (2 v cos(phi) + 2 (x-cx), 2 v sin(phi) + 2 (y-cy),
      2 (x-cx) cos(phi) + 2 (y-cy) sin(phi),
      -2 (x-cx) v sin(phi) + 2 (y-cy) v cos(phi)).
+
+    The closed-loop half-spaces come from the production closed form
+    disc_barriers; each state also compares its (a, b) with the
+    finite-difference constraint_coeffs of the lifted chain.
     """
     rng = np.random.default_rng(seed)
     dyn = uav_dynamics(0.05, 0.025)
@@ -324,6 +339,7 @@ def chain_closed_form_check(
     chain = obstacle_chain(obstacle, dyn)
     cx, cy = obstacle.center
     rho2 = obstacle.keepout_radius**2
+    discs = obstacle_discs([obstacle])
 
     states = np.stack(
         [
@@ -337,7 +353,17 @@ def chain_closed_form_check(
 
     max_value_err = 0.0
     max_grad_err = 0.0
+    max_halfspace_err = 0.0
     for k, x in enumerate(states):
+        _, a_prod, b_prod = disc_barriers(x, discs, dyn.noise_cov)
+        ref = constraint_coeffs(chain, x)
+        a_err = float(np.max(np.abs(a_prod[0] - ref.a)))
+        b_err = abs(float(b_prod[0]) - ref.b)
+        max_halfspace_err = max(
+            max_halfspace_err,
+            a_err / max(1.0, float(np.max(np.abs(ref.a)))),
+            b_err / max(1.0, abs(ref.b)),
+        )
         dx, dy, v, phi = x[0] - cx, x[1] - cy, x[2], x[3]
         h0 = dx**2 + dy**2 - rho2
         h1 = 2.0 * dx * v * np.cos(phi) + 2.0 * dy * v * np.sin(phi) + h0
@@ -366,18 +392,25 @@ def chain_closed_form_check(
         chain.levels[0], dyn, states[: max(4, grad_states)]
     )
 
-    passed = max_value_err <= 1e-8 and max_grad_err <= 1e-5 and degree == 1
+    passed = (
+        max_value_err <= 1e-8
+        and max_grad_err <= 1e-5
+        and degree == 1
+        and max_halfspace_err <= 1e-6
+    )
     return CheckResult(
         name="chain_closed_form",
         passed=passed,
         detail=(
             f"lift err {max_value_err:.2e}, grad err {max_grad_err:.2e}, "
-            f"relative degree {degree}"
+            f"relative degree {degree}, "
+            f"production half-space err {max_halfspace_err:.2e}"
         ),
         stats={
             "max_value_err": max_value_err,
             "max_grad_err": max_grad_err,
             "relative_degree": float(degree),
+            "max_halfspace_err": max_halfspace_err,
         },
     )
 

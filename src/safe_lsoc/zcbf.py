@@ -11,6 +11,10 @@ until the control shows up (grad(h_r) . B != 0). Enforcing
 
 keeps every level of the chain non-negative along the closed loop. The filter
 projects a nominal control onto these halfspaces in the Euclidean norm.
+
+The closed loop takes its disc half-spaces from the closed form
+scenarios.disc_barriers; the finite-difference chain here is the general
+construction and the oracle those closed forms are checked against.
 """
 
 from __future__ import annotations

@@ -85,12 +85,15 @@ class TestRunCommand:
             agents=halted.agents,
             task_targets=halted.task_targets,
             infeasible_agent=0,
+            infeasible_constraints=(0,),
         )
         for rec in halted.agents:
             rec.trajectory.exit_reason = EXIT_INFEASIBLE
         monkeypatch.setattr(cli, "run_seeds", lambda *a, **k: [halted])
         code = cli.main(["run", str(tiny_path), "--seeds", "0"])
         assert code == cli.EXIT_UNSAFE
+        err = capsys.readouterr().err
+        assert "agent 0" in err and "obstacles [0]" in err
 
 
 class TestComposeCommand:

@@ -249,6 +249,8 @@ class TestExport:
         )
         assert loaded["seed"] == 0
         assert loaded["terminal_position_error"] == metrics["terminal_position_error"]
+        assert loaded["infeasible_agent"] is None
+        assert loaded["infeasible_constraints"] is None
 
 
 class TestMarginSweep:
@@ -362,6 +364,9 @@ class TestRawControlContract:
         assert res.agents[0].component_weights is not None
 
 
+FORCED_IDS = (0,)
+
+
 def fail_filter_on_call(monkeypatch, k: int) -> None:
     """Make the k-th safety_filter call of the closed loop infeasible."""
     real = harness.safety_filter
@@ -370,7 +375,7 @@ def fail_filter_on_call(monkeypatch, k: int) -> None:
     def flaky(u, constraints):
         calls[0] += 1
         if calls[0] == k:
-            raise SafetyInfeasible("forced", (0,))
+            raise SafetyInfeasible("forced", FORCED_IDS)
         return real(u, constraints)
 
     monkeypatch.setattr(harness, "safety_filter", flaky)
@@ -385,7 +390,10 @@ class TestInfeasibleHalt:
         fail_filter_on_call(monkeypatch, 8)
         res = run_task(pair_scenario, seed=0, mode="filtered")
         assert res.infeasible_agent == 1
-        assert compute_metrics(res, pair_scenario)["infeasible_agent"] == 1
+        assert res.infeasible_constraints == FORCED_IDS
+        metrics = compute_metrics(res, pair_scenario)
+        assert metrics["infeasible_agent"] == 1
+        assert metrics["infeasible_constraints"] == list(FORCED_IDS)
         dt = pair_scenario.sim.dt
         for rec in res.agents:
             assert rec.trajectory.exit_reason == EXIT_INFEASIBLE
@@ -401,6 +409,7 @@ class TestInfeasibleHalt:
         fail_filter_on_call(monkeypatch, 14)
         res = run_generalization(tiny_composite, seed=0, mode="filtered")
         assert res.infeasible_agent == 0
+        assert res.infeasible_constraints == FORCED_IDS
         rec = res.agents[0]
         assert rec.trajectory.exit_reason == EXIT_INFEASIBLE
         assert len(rec.trajectory.controls) == 4
@@ -408,3 +417,18 @@ class TestInfeasibleHalt:
         assert rec.trajectory.times[-1] == pytest.approx(
             4 * tiny_composite.sim.dt
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the continuous-time barrier condition does not survive the noisy "
+        "Euler step: filtered single_uav seed 5003 puts 125 states inside "
+        "a keep-out disc while every applied control satisfies its "
+        "half-space"
+    ),
+)
+def test_filtered_single_uav_seed_5003_stays_outside_discs(bundled):
+    sc = bundled("single_uav")
+    res = run_task(sc, seed=5003, mode="filtered")
+    assert compute_metrics(res, sc)["safety_violation_count"] == 0

@@ -14,10 +14,12 @@ from safe_lsoc.scenarios import (
     Obstacle,
     ScenarioError,
     bundled_scenario_path,
+    disc_barriers,
     final_cost,
     list_bundled_scenarios,
     load_scenario,
     obstacle_chain,
+    obstacle_discs,
     running_cost_coop,
     subsystem_final_cost,
     subsystem_problem,
@@ -25,6 +27,8 @@ from safe_lsoc.scenarios import (
     uav_drift,
     uav_dynamics,
 )
+from safe_lsoc.sde import ControlAffineDynamics
+from safe_lsoc.zcbf import constraint_coeffs
 
 from conftest import tiny_composite_dict, tiny_scenario_dict
 
@@ -87,6 +91,67 @@ class TestObstacle:
         ob = Obstacle(center=(5.0, 5.0), radius=2.0, margin=1.0)
         chain = obstacle_chain(ob, uav_dynamics())
         assert chain.relative_degree == 1
+
+
+class TestDiscBarriers:
+    """The loop's closed-form disc chain against the finite-difference one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=st.tuples(
+            st.floats(-5.0, 45.0), st.floats(-5.0, 40.0),
+            st.floats(0.0, 3.0), st.floats(-np.pi, np.pi),
+        ),
+        discs=st.lists(
+            st.tuples(
+                st.floats(0.0, 40.0), st.floats(0.0, 35.0),
+                st.floats(0.5, 5.0), st.floats(0.0, 2.0),
+            ),
+            min_size=1, max_size=4,
+        ),
+        # The oracle's finite-difference hessian error scales with |S|^2;
+        # at this range it stays below a quarter of the b tolerance.
+        noise=st.tuples(
+            st.floats(0.01, 0.06), st.floats(-0.02, 0.02),
+            st.floats(-0.02, 0.02), st.floats(0.01, 0.06),
+        ),
+        full_noise=st.booleans(),
+    )
+    def test_matches_finite_difference_chain(
+        self, state, discs, noise, full_noise
+    ):
+        x = np.array(state)
+        s_vv, s_vp, s_pv, s_pp = noise
+        if full_noise:
+            # Correlated noise on (v, phi): the trace term gains k S_v.S_phi.
+            dyn = ControlAffineDynamics(
+                state_dim=UAV_DIM,
+                input_dim=UAV_INPUTS,
+                drift=uav_drift,
+                control_matrix=uav_dynamics().control_matrix,
+                noise_cov=np.array([[s_vv, s_vp], [s_pv, s_pp]]),
+            )
+        else:
+            dyn = uav_dynamics(sigma=s_vv, nu=s_pp)
+        obstacles = [
+            Obstacle(center=(cx, cy), radius=rad, margin=m)
+            for cx, cy, rad, m in discs
+        ]
+        h, a, b = disc_barriers(x, obstacle_discs(obstacles), dyn.noise_cov)
+        n = len(obstacles)
+        assert h.shape == (n, 2) and a.shape == (n, 2) and b.shape == (n,)
+        for j, ob in enumerate(obstacles):
+            chain = obstacle_chain(ob, dyn)
+            ref = constraint_coeffs(chain, x)
+            np.testing.assert_allclose(h[j], chain.values(x), rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(a[j], ref.a, rtol=0.0, atol=1e-6)
+            assert abs(b[j] - ref.b) <= 1e-6 * max(1.0, abs(ref.b))
+
+    def test_no_obstacles_gives_empty_tables(self):
+        h, a, b = disc_barriers(
+            np.array([1.0, 2.0, 1.0, 0.3]), obstacle_discs([]), np.eye(2)
+        )
+        assert h.shape == (0, 2) and a.shape == (0, 2) and b.shape == (0,)
 
 
 def goal_cost(states, target, d_max, obstacles=()):
