@@ -64,7 +64,6 @@ from .scenarios import (
     final_cost,
     list_bundled_scenarios,
     load_scenario,
-    obstacle_chain,
     obstacle_discs,
     running_cost_coop,
     uav_dynamics,
@@ -84,21 +83,15 @@ from .sde import (
     validate_lambda_condition,
 )
 from .zcbf import (
-    AffineConstraint,
     BarrierFunction,
-    ZcbfChain,
-    build_chain,
     constraint_coeffs,
     detect_relative_degree,
-    in_safe_set,
-    lower_degree_terms,
     safety_filter,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineConstraint",
     "AgentGraph",
     "AgentRecord",
     "BallBoundary",
@@ -127,9 +120,7 @@ __all__ = [
     "SweepRow",
     "Trajectory",
     "UnionDomain",
-    "ZcbfChain",
     "assemble_joint",
-    "build_chain",
     "build_subsystems",
     "bundled_scenario_path",
     "composite_control",
@@ -147,14 +138,11 @@ __all__ = [
     "extract_local_control",
     "final_cost",
     "grid_hjb_oracle",
-    "in_safe_set",
     "joint_dynamics",
     "list_bundled_scenarios",
     "load_scenario",
-    "lower_degree_terms",
     "margin_sweep",
     "metrics_from_trajectory_csv",
-    "obstacle_chain",
     "obstacle_discs",
     "rollout_batch",
     "run_generalization",

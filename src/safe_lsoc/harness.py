@@ -22,12 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compose import (
-    composite_control,
-    composite_final_cost,
-    composition_weights,
-    state_weights,
-)
+from .compose import composite_control, composition_weights, state_weights
 from .lsoc import estimate_optimal_control, rollout_batch
 from .mas import assemble_joint, build_subsystems, extract_local_control
 from .scenarios import (
@@ -54,7 +49,7 @@ from .sde import (
     em_step,
     sample_increments,
 )
-from .zcbf import AffineConstraint, safety_filter
+from .zcbf import safety_filter
 
 __all__ = [
     "AgentRecord",
@@ -137,11 +132,6 @@ class _LoopState:
 
     def _barriers_at(self, x: np.ndarray) -> tuple:
         return disc_barriers(x, self.discs, self.dyn.noise_cov)
-
-    def constraints(self, i: int) -> list[AffineConstraint]:
-        """One half-space per obstacle, in obstacle order, at agent i's state."""
-        _, a_mat, b_vec = self.barriers[i]
-        return [AffineConstraint(a=a, b=float(b)) for a, b in zip(a_mat, b_vec)]
 
     def _reached(self, i: int) -> bool:
         return (
@@ -288,9 +278,10 @@ def _run_closed_loop(
 ) -> RunResult:
     """Drive every agent toward targets with a mix of the components' controls.
 
-    Each agent draws one rollout batch per step; every component scores that
-    batch with its own terminal cost.  A lone component uses the batch's own
-    path costs and its raw control is the unfiltered estimate.  Several
+    Each agent draws one rollout batch per step under the first component's
+    terminal cost; that component uses the batch's own path costs and every
+    other component re-scores the batch with its terminal cost.  A lone
+    component's raw control is the unfiltered estimate.  Several
     components are each pre-filtered, so their convex mixture under the
     kernel and desirability weights is already feasible; the mixture then
     passes the filter once.  Component weights are recorded for composite
@@ -322,12 +313,8 @@ def _run_closed_loop(
         new_joint_target = _joint_target_state(targets, sub.members)
         kernel = _position_kernel(sub.size, sc.task.kernel_width)
         weights = composition_weights(comp_joint_targets, new_joint_target, kernel)
-        final = (
-            finals[0] if len(finals) == 1
-            else composite_final_cost(finals, weights, lam)
-        )
         problem = subsystem_problem(sc, sub, targets, sc.sim.target_radius)
-        problems.append(dataclasses.replace(problem, final_cost=final))
+        problems.append(dataclasses.replace(problem, final_cost=finals[0]))
         comp_final.append(finals)
         mix_weights.append(weights)
 
@@ -347,11 +334,11 @@ def _run_closed_loop(
                 sc.pi.rollouts,
                 loop.base.child(KIND_ROLLOUT, i, step),
             )
-            scored = [batch] if len(comp_final[i]) == 1 else [
+            scored = [batch] + [
                 dataclasses.replace(
                     batch, path_costs=batch.running_costs + phi(batch.exit_states)
                 )
-                for phi in comp_final[i]
+                for phi in comp_final[i][1:]
             ]
             ests = [estimate_optimal_control(b, lam) for b in scored]
             u_components = [
@@ -359,12 +346,14 @@ def _run_closed_loop(
             ]
             w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
             if filtered:
-                cons = loop.constraints(i)
+                _, a_mat, b_vec = loop.barriers[i]
                 try:
                     if len(u_components) > 1:
-                        u_components = [safety_filter(u, cons) for u in u_components]
+                        u_components = [
+                            safety_filter(u, a_mat, b_vec) for u in u_components
+                        ]
                     u_raw = composite_control(w, u_components)
-                    u = safety_filter(u_raw, cons)
+                    u = safety_filter(u_raw, a_mat, b_vec)
                 except SafetyInfeasible as exc:
                     loop.mark_infeasible(i, exc.constraint_ids)
                     break

@@ -27,7 +27,6 @@ from .lsoc import (
 )
 from .mas import AgentGraph, FactorialSubsystem, joint_dynamics
 from .sde import ControlAffineDynamics, validate_lambda_condition
-from .zcbf import BarrierFunction, ZcbfChain, build_chain
 
 __all__ = [
     "Obstacle",
@@ -96,11 +95,6 @@ class Obstacle:
     def keepout_radius(self) -> float:
         return self.radius + self.margin
 
-    def barrier(self, state_dim: int = UAV_DIM) -> BarrierFunction:
-        return BarrierFunction.circle(
-            self.center, self.radius, self.margin, state_dim=state_dim
-        )
-
     def contains(self, pos: np.ndarray) -> np.ndarray:
         """Inside the physical disc (soft-cost region), margin excluded."""
         pos = np.asarray(pos, dtype=float)
@@ -132,9 +126,9 @@ def disc_barriers(
 
     Returns h (n_obs, 2) with the levels h0, h1, and the top-level
     half-spaces a . u >= b as A (n_obs, 2) and b (n_obs,).  These are the
-    values obstacle_chain and constraint_coeffs approximate by finite
-    differences; the position rows of B are zero, so no lower level couples
-    to the control.
+    values the finite-difference chain of zcbf (chain_lift and
+    constraint_coeffs) approximates; the position rows of B are zero, so no
+    lower level couples to the control.
     """
     px, py, v, phi = (float(c) for c in x)
     c, s = math.cos(phi), math.sin(phi)
@@ -559,31 +553,6 @@ def validate_physics(sc: Scenario) -> None:
                 raise ScenarioError(
                     f"agents[{i}] starts outside the safe set of obstacle {j}"
                 )
-
-
-def obstacle_chain(
-    obstacle: Obstacle,
-    dyn: ControlAffineDynamics,
-    sample_states: Sequence[np.ndarray] | None = None,
-) -> ZcbfChain:
-    """Barrier chain of one obstacle under the single-vehicle dynamics."""
-    if sample_states is None:
-        sample_states = _chain_probe_states(obstacle)
-    return build_chain(
-        obstacle.barrier(dyn.state_dim), dyn, np.atleast_2d(np.asarray(sample_states, dtype=float))
-    )
-
-
-def _chain_probe_states(obstacle: Obstacle) -> np.ndarray:
-    """States with nonzero speed around the disc to expose control coupling."""
-    cx, cy = obstacle.center
-    r = obstacle.keepout_radius
-    probes = []
-    for ang in (0.0, 1.3, 2.7, 4.1):
-        probes.append(
-            [cx + (r + 2.0) * np.cos(ang), cy + (r + 2.0) * np.sin(ang), 1.5, ang]
-        )
-    return np.array(probes)
 
 
 # Scenario -> solver plumbing ------------------------------------------------

@@ -21,16 +21,11 @@ from .lsoc import (
     rollout_batch,
 )
 from .hjb import GridSpec, grid_hjb_oracle
-from .scenarios import (
-    Obstacle,
-    disc_barriers,
-    obstacle_chain,
-    obstacle_discs,
-    uav_dynamics,
-)
+from .scenarios import Obstacle, disc_barriers, obstacle_discs, uav_dynamics
 from .sde import ControlAffineDynamics, NoiseStream, SafetyInfeasible
 from .zcbf import (
-    AffineConstraint,
+    BarrierFunction,
+    chain_lift,
     constraint_coeffs,
     detect_relative_degree,
     safety_filter,
@@ -62,21 +57,21 @@ class CheckResult:
 
 def _random_constraints(
     rng: np.random.Generator, n: int
-) -> tuple[list[AffineConstraint], np.ndarray]:
-    """n halfspaces sharing a strictly feasible witness point."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n halfspaces A u >= b sharing a strictly feasible witness point."""
     witness = rng.uniform(-1.5, 1.5, size=2)
-    cons = []
-    for _ in range(n):
+    a_mat = np.empty((n, 2))
+    b_vec = np.empty(n)
+    for j in range(n):
         ang = rng.uniform(0.0, 2.0 * np.pi)
         scale = rng.uniform(0.3, 2.0)
-        a = scale * np.array([np.cos(ang), np.sin(ang)])
-        b = float(a @ witness) - rng.uniform(0.0, 1.5)
-        cons.append(AffineConstraint(a=a, b=b))
-    return cons, witness
+        a_mat[j] = scale * np.array([np.cos(ang), np.sin(ang)])
+        b_vec[j] = float(a_mat[j] @ witness) - rng.uniform(0.0, 1.5)
+    return a_mat, b_vec, witness
 
 
 def _grid_projection(
-    u: np.ndarray, cons: list[AffineConstraint], step: float, radius: float
+    u: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray, step: float, radius: float
 ) -> tuple[np.ndarray, float] | None:
     """Best feasible grid point around u, or None when the grid has none."""
     ax = np.arange(u[0] - radius, u[0] + radius + step, step)
@@ -84,8 +79,8 @@ def _grid_projection(
     xx, yy = np.meshgrid(ax, ay, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
     feasible = np.ones(pts.shape[0], dtype=bool)
-    for c in cons:
-        feasible &= pts @ c.a >= c.b - 1e-12
+    for a, b in zip(a_mat, b_vec):
+        feasible &= pts @ a >= b - 1e-12
     if not np.any(feasible):
         return None
     pts = pts[feasible]
@@ -115,26 +110,27 @@ def filter_projection_check(
 
     for _ in range(n_single):
         u = rng.uniform(-2.0, 2.0, size=2)
-        (con,), _ = _random_constraints(rng, 1)
-        out = safety_filter(u, [con])
-        if con.a @ u >= con.b:
+        a_mat, b_vec, _ = _random_constraints(rng, 1)
+        out = safety_filter(u, a_mat, b_vec)
+        a, b = a_mat[0], b_vec[0]
+        if a @ u >= b:
             expected = u
         else:
-            expected = u + con.a * (con.b - con.a @ u) / float(con.a @ con.a)
+            expected = u + a * (b - a @ u) / float(a @ a)
         max_single_err = max(max_single_err, float(np.max(np.abs(out - expected))))
-        max_residual = max(max_residual, float(con.b - con.a @ out))
+        max_residual = max(max_residual, float(b - a @ out))
 
     for _ in range(n_multi):
         u = rng.uniform(-2.0, 2.0, size=2)
-        cons, witness = _random_constraints(rng, int(rng.integers(2, 4)))
-        out = safety_filter(u, cons)
+        a_mat, b_vec, witness = _random_constraints(rng, int(rng.integers(2, 4)))
+        out = safety_filter(u, a_mat, b_vec)
         max_residual = max(
-            max_residual, max(float(c.b - c.a @ out) for c in cons)
+            max_residual, max(float(b - a @ out) for a, b in zip(a_mat, b_vec))
         )
         # The projection lies within |witness - u| of u, so a grid box of
         # that radius (plus a cell) always contains it.
         radius = float(np.linalg.norm(witness - u)) + 2.0 * grid_step
-        ref = _grid_projection(u, cons, grid_step, radius=radius)
+        ref = _grid_projection(u, a_mat, b_vec, grid_step, radius=radius)
         if ref is None:
             continue
         _, grid_dist = ref
@@ -148,12 +144,10 @@ def filter_projection_check(
         lo = rng.uniform(0.5, 2.0)
         hi = lo - rng.uniform(0.1, 2.0)
         # a.u >= lo together with a.u <= hi < lo is empty.
-        pair = [
-            AffineConstraint(a=a, b=lo),
-            AffineConstraint(a=-a, b=-hi),
-        ]
         try:
-            safety_filter(rng.uniform(-2.0, 2.0, size=2), pair)
+            safety_filter(
+                rng.uniform(-2.0, 2.0, size=2), np.stack([a, -a]), np.array([lo, -hi])
+            )
         except SafetyInfeasible:
             infeasible_checked += 1
 
@@ -331,12 +325,13 @@ def chain_closed_form_check(
 
     The closed-loop half-spaces come from the production closed form
     disc_barriers; each state also compares its (a, b) with the
-    finite-difference constraint_coeffs of the lifted chain.
+    finite-difference constraint_coeffs of the lift.
     """
     rng = np.random.default_rng(seed)
     dyn = uav_dynamics(0.05, 0.025)
     obstacle = Obstacle(center=(20.0, 15.0), radius=3.0, margin=1.0)
-    chain = obstacle_chain(obstacle, dyn)
+    level0 = BarrierFunction.circle(obstacle.center, obstacle.radius, obstacle.margin)
+    level1 = chain_lift(level0, dyn)
     cx, cy = obstacle.center
     rho2 = obstacle.keepout_radius**2
     discs = obstacle_discs([obstacle])
@@ -356,18 +351,18 @@ def chain_closed_form_check(
     max_halfspace_err = 0.0
     for k, x in enumerate(states):
         _, a_prod, b_prod = disc_barriers(x, discs, dyn.noise_cov)
-        ref = constraint_coeffs(chain, x)
-        a_err = float(np.max(np.abs(a_prod[0] - ref.a)))
-        b_err = abs(float(b_prod[0]) - ref.b)
+        a_ref, b_ref = constraint_coeffs(level1, dyn, x)
+        a_err = float(np.max(np.abs(a_prod[0] - a_ref)))
+        b_err = abs(float(b_prod[0]) - b_ref)
         max_halfspace_err = max(
             max_halfspace_err,
-            a_err / max(1.0, float(np.max(np.abs(ref.a)))),
-            b_err / max(1.0, abs(ref.b)),
+            a_err / max(1.0, float(np.max(np.abs(a_ref)))),
+            b_err / max(1.0, abs(b_ref)),
         )
         dx, dy, v, phi = x[0] - cx, x[1] - cy, x[2], x[3]
         h0 = dx**2 + dy**2 - rho2
         h1 = 2.0 * dx * v * np.cos(phi) + 2.0 * dy * v * np.sin(phi) + h0
-        got = chain.levels[1].value(x)
+        got = level1.value(x)
         max_value_err = max(max_value_err, abs(got - h1))
         if k < grad_states:
             g_ref = np.array(
@@ -378,19 +373,17 @@ def chain_closed_form_check(
                     -2.0 * dx * v * np.sin(phi) + 2.0 * dy * v * np.cos(phi),
                 ]
             )
-            g = chain.levels[1].gradient(x)
+            g = level1.gradient(x)
             scale = max(1.0, float(np.max(np.abs(g_ref))))
             max_grad_err = max(max_grad_err, float(np.max(np.abs(g - g_ref))) / scale)
-            g0 = chain.levels[0].gradient(x)
+            g0 = level0.gradient(x)
             g0_ref = np.array([2.0 * dx, 2.0 * dy, 0.0, 0.0])
             scale0 = max(1.0, float(np.max(np.abs(g0_ref))))
             max_grad_err = max(
                 max_grad_err, float(np.max(np.abs(g0 - g0_ref))) / scale0
             )
 
-    degree = detect_relative_degree(
-        chain.levels[0], dyn, states[: max(4, grad_states)]
-    )
+    degree = detect_relative_degree(level0, dyn, states[: max(4, grad_states)])
 
     passed = (
         max_value_err <= 1e-8

@@ -10,7 +10,8 @@ until the control shows up (grad(h_r) . B != 0). Enforcing
     grad(h_r) . (g + B u) + 0.5 tr(sigma^T B^T hess(h_r) B sigma) >= -h_r
 
 keeps every level of the chain non-negative along the closed loop. The filter
-projects a nominal control onto these halfspaces in the Euclidean norm.
+projects a nominal control onto these halfspaces, given as arrays A u >= b,
+in the Euclidean norm.
 
 The closed loop takes its disc half-spaces from the closed form
 scenarios.disc_barriers; the finite-difference chain here is the general
@@ -29,16 +30,11 @@ from .sde import ControlAffineDynamics, SafetyInfeasible
 
 __all__ = [
     "BarrierFunction",
-    "ZcbfChain",
-    "AffineConstraint",
     "SafetyInfeasible",
     "chain_lift",
     "detect_relative_degree",
-    "build_chain",
     "constraint_coeffs",
-    "lower_degree_terms",
     "safety_filter",
-    "in_safe_set",
 ]
 
 _FD_STEP = 1e-5
@@ -146,21 +142,6 @@ def chain_lift(
     return BarrierFunction.from_value(value, fd_step=fd_step)
 
 
-@dataclass
-class ZcbfChain:
-    """Lifted barrier levels h_0 ... h_r for one constraint and one system."""
-
-    levels: list[BarrierFunction]
-    dyn: ControlAffineDynamics
-
-    @property
-    def relative_degree(self) -> int:
-        return len(self.levels) - 1
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([h.value(x) for h in self.levels])
-
-
 def detect_relative_degree(
     h0: BarrierFunction,
     dyn: ControlAffineDynamics,
@@ -185,69 +166,21 @@ def detect_relative_degree(
     )
 
 
-def build_chain(
-    h0: BarrierFunction,
-    dyn: ControlAffineDynamics,
-    sample_states: np.ndarray,
-    tol: float = 1e-9,
-    max_degree: int = 4,
-) -> ZcbfChain:
-    """Lift h0 until the control appears; returns all levels h_0..h_r."""
-    r = detect_relative_degree(h0, dyn, sample_states, tol, max_degree)
-    levels = [h0]
-    for _ in range(r):
-        levels.append(chain_lift(levels[-1], dyn))
-    return ZcbfChain(levels=levels, dyn=dyn)
-
-
-@dataclass(frozen=True)
-class AffineConstraint:
-    """Halfspace a . u >= b in control space."""
-
-    a: np.ndarray
-    b: float
-    source: str = ""
-
-
-def constraint_coeffs(chain: ZcbfChain, x: np.ndarray) -> AffineConstraint:
-    """Top-level chain constraint at x as a halfspace on u.
+def constraint_coeffs(
+    h_r: BarrierFunction, dyn: ControlAffineDynamics, x: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Top-level chain constraint a . u >= b at x, for the top level h_r.
 
     a = B^T grad(h_r), b = -h_r - grad(h_r).g - 0.5 tr(sigma^T B^T hess(h_r) B sigma).
     """
     x = np.asarray(x, dtype=float)
-    h_r = chain.levels[-1]
-    dyn = chain.dyn
     grad = h_r.gradient(x)
     b_mat = np.asarray(dyn.control_matrix(x), dtype=float)
     bs = b_mat @ dyn.noise_cov
     trace = 0.5 * float(np.einsum("ip,ij,jp->", bs, h_r.hessian(x), bs))
     a = b_mat.T @ grad
     b = -h_r.value(x) - float(grad @ dyn.drift(x)) - trace
-    return AffineConstraint(a=a, b=b, source="chain_top")
-
-
-def lower_degree_terms(
-    chain: ZcbfChain, x: np.ndarray, tol: float = 1e-9
-) -> list[AffineConstraint]:
-    """Control couplings of the levels below r.
-
-    The chain construction assumes grad(h_k) . B = 0 for k < r; when a sampled
-    state violates that, each nonzero coupling is enforced as a . u >= 0 so the
-    lower levels cannot be driven down through the control.
-    """
-    x = np.asarray(x, dtype=float)
-    b_mat = np.asarray(chain.dyn.control_matrix(x), dtype=float)
-    out = []
-    for k, h in enumerate(chain.levels[:-1]):
-        a = b_mat.T @ h.gradient(x)
-        if np.max(np.abs(a)) > tol:
-            out.append(AffineConstraint(a=a, b=0.0, source=f"level_{k}"))
-    return out
-
-
-def in_safe_set(chain: ZcbfChain, x: np.ndarray) -> bool:
-    """True when every chain level is non-negative at x."""
-    return bool(np.all(chain.values(x) >= 0.0))
+    return a, b
 
 
 _FEAS_TOL = 1e-9
@@ -255,41 +188,75 @@ _FEAS_TOL = 1e-9
 
 def safety_filter(
     u_star: np.ndarray,
-    constraints: Sequence[AffineConstraint],
+    a_mat: np.ndarray,
+    b_vec: np.ndarray,
     tol: float = _FEAS_TOL,
 ) -> np.ndarray:
-    """Euclidean projection of u_star onto the intersection of halfspaces.
+    """Euclidean projection of u_star onto the half-spaces a_mat u >= b_vec.
 
-    Exact for small constraint counts: an optimal active set of size <= P
-    always exists, so all candidate subsets are solved in closed form and the
-    best KKT-consistent one wins. A feasible u_star is returned unchanged.
-    Raises SafetyInfeasible with a minimal conflicting subset when the
+    a_mat is (m, P) and b_vec is (m,), one row per constraint.  A feasible
+    u_star is returned unchanged.  A zero-normal row is dropped when its
+    offset is non-positive and is fatal otherwise.  Raises SafetyInfeasible
+    with a minimal conflicting subset, in the caller's row ids, when the
     intersection is empty.
     """
     u_star = np.asarray(u_star, dtype=float)
+    a_mat = np.asarray(a_mat, dtype=float)
+    b_vec = np.asarray(b_vec, dtype=float)
     if not np.all(np.isfinite(u_star)):
         raise ValueError("nominal control must be finite")
-    if not constraints:
-        return u_star
-    a_mat = np.array([c.a for c in constraints], dtype=float)
-    b_vec = np.array([c.b for c in constraints], dtype=float)
-    if a_mat.shape[1] != u_star.shape[0]:
-        raise ValueError("constraint dimension mismatch")
-    if np.any(np.linalg.norm(a_mat, axis=1) < 1e-14):
-        bad = [i for i, row in enumerate(a_mat) if np.linalg.norm(row) < 1e-14]
-        if np.any(b_vec[bad] > 0):
-            raise SafetyInfeasible(
-                "zero-normal constraint with positive offset", bad
-            )
-        keep = [i for i in range(len(constraints)) if i not in bad]
-        a_mat, b_vec = a_mat[keep], b_vec[keep]
-        if a_mat.shape[0] == 0:
-            return u_star
-    residual = a_mat @ u_star - b_vec
-    if np.all(residual >= -tol):
-        return u_star
+    if (
+        u_star.ndim != 1
+        or a_mat.ndim != 2
+        or a_mat.shape[1] != u_star.shape[0]
+        or b_vec.shape != a_mat.shape[:1]
+    ):
+        raise ValueError(
+            "need u (P,), A (m, P) and b (m,); got "
+            f"{u_star.shape}, {a_mat.shape} and {b_vec.shape}"
+        )
+    zero = np.linalg.norm(a_mat, axis=1) < 1e-14
+    fatal = np.flatnonzero(zero & (b_vec > 0))
+    if fatal.size:
+        raise SafetyInfeasible(
+            "zero-normal constraint with positive offset",
+            tuple(int(i) for i in fatal),
+        )
+    keep = np.flatnonzero(~zero)
+    a_mat, b_vec = a_mat[keep], b_vec[keep]
+    u = _project(u_star, a_mat, b_vec, tol)
+    if u is not None:
+        return u
 
-    p = u_star.shape[0]
+    # Empty intersection: the first infeasible subset, smallest first, is
+    # minimal (Helly: size <= P+1).  Feasibility is projecting the origin.
+    m, p = a_mat.shape
+    for size in range(2, min(p + 1, m) + 1):
+        for subset in combinations(range(m), size):
+            rows = list(subset)
+            if _project(np.zeros(p), a_mat[rows], b_vec[rows], tol) is None:
+                raise SafetyInfeasible(
+                    "barrier constraints have empty intersection",
+                    tuple(int(keep[j]) for j in subset),
+                )
+    raise SafetyInfeasible(
+        "barrier constraints have empty intersection",
+        tuple(int(j) for j in keep),
+    )
+
+
+def _project(
+    u: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """Closest point to u in {v : A v >= b}, or None when the set is empty.
+
+    Exact for small constraint counts: an optimal active set of size <= P
+    always exists, so all candidate subsets are solved in closed form and the
+    nearest KKT-consistent one wins.
+    """
+    if np.all(a_mat @ u - b_vec >= -tol):
+        return u
+    p = u.shape[0]
     m = a_mat.shape[0]
     best: np.ndarray | None = None
     best_dist = np.inf
@@ -299,49 +266,14 @@ def safety_filter(
             a_s = a_mat[list(subset)]
             gram = a_s @ a_s.T
             try:
-                mu = np.linalg.solve(gram, b_vec[list(subset)] - a_s @ u_star)
+                mu = np.linalg.solve(gram, b_vec[list(subset)] - a_s @ u)
             except np.linalg.LinAlgError:
                 continue
             if np.any(mu < -tol):
                 continue
-            u = u_star + a_s.T @ mu
-            if np.all(a_mat @ u - b_vec >= -tol):
-                d = float(np.linalg.norm(u - u_star))
+            v = u + a_s.T @ mu
+            if np.all(a_mat @ v - b_vec >= -tol):
+                d = float(np.linalg.norm(v - u))
                 if d < best_dist - 1e-15:
-                    best, best_dist = u, d
-    if best is not None:
-        return best
-
-    # Empty intersection: report a minimal infeasible subset (Helly: size <= P+1).
-    for size in range(2, min(p + 1, m) + 1):
-        for subset in combinations(range(m), size):
-            if not _halfspaces_feasible(a_mat[list(subset)], b_vec[list(subset)], tol):
-                raise SafetyInfeasible(
-                    "barrier constraints have empty intersection",
-                    subset,
-                )
-    raise SafetyInfeasible(
-        "barrier constraints have empty intersection", tuple(range(m))
-    )
-
-
-def _halfspaces_feasible(a_mat: np.ndarray, b_vec: np.ndarray, tol: float) -> bool:
-    """Feasibility of {u : A u >= b} via projection of the origin onto it."""
-    p = a_mat.shape[1]
-    m = a_mat.shape[0]
-    if np.all(-b_vec >= -tol):
-        return True
-    for size in range(1, min(p, m) + 1):
-        for subset in combinations(range(m), size):
-            a_s = a_mat[list(subset)]
-            gram = a_s @ a_s.T
-            try:
-                mu = np.linalg.solve(gram, b_vec[list(subset)])
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(mu < -tol):
-                continue
-            u = a_s.T @ mu
-            if np.all(a_mat @ u - b_vec >= -tol):
-                return True
-    return False
+                    best, best_dist = v, d
+    return best

@@ -372,11 +372,11 @@ def fail_filter_on_call(monkeypatch, k: int) -> None:
     real = harness.safety_filter
     calls = [0]
 
-    def flaky(u, constraints):
+    def flaky(u, a_mat, b_vec):
         calls[0] += 1
         if calls[0] == k:
             raise SafetyInfeasible("forced", FORCED_IDS)
-        return real(u, constraints)
+        return real(u, a_mat, b_vec)
 
     monkeypatch.setattr(harness, "safety_filter", flaky)
 

@@ -18,7 +18,6 @@ from safe_lsoc.scenarios import (
     final_cost,
     list_bundled_scenarios,
     load_scenario,
-    obstacle_chain,
     obstacle_discs,
     running_cost_coop,
     subsystem_final_cost,
@@ -28,7 +27,12 @@ from safe_lsoc.scenarios import (
     uav_dynamics,
 )
 from safe_lsoc.sde import ControlAffineDynamics
-from safe_lsoc.zcbf import constraint_coeffs
+from safe_lsoc.zcbf import (
+    BarrierFunction,
+    chain_lift,
+    constraint_coeffs,
+    detect_relative_degree,
+)
 
 from conftest import tiny_composite_dict, tiny_scenario_dict
 
@@ -89,8 +93,10 @@ class TestObstacle:
 
     def test_chain_has_relative_degree_one(self):
         ob = Obstacle(center=(5.0, 5.0), radius=2.0, margin=1.0)
-        chain = obstacle_chain(ob, uav_dynamics())
-        assert chain.relative_degree == 1
+        h0 = BarrierFunction.circle(ob.center, ob.radius, ob.margin)
+        # Moving states beside the disc expose the control coupling.
+        states = np.array([[10.0, 5.0, 1.5, 0.0], [2.0, 9.0, 1.5, 2.7]])
+        assert detect_relative_degree(h0, uav_dynamics(), states) == 1
 
 
 class TestDiscBarriers:
@@ -141,11 +147,14 @@ class TestDiscBarriers:
         n = len(obstacles)
         assert h.shape == (n, 2) and a.shape == (n, 2) and b.shape == (n,)
         for j, ob in enumerate(obstacles):
-            chain = obstacle_chain(ob, dyn)
-            ref = constraint_coeffs(chain, x)
-            np.testing.assert_allclose(h[j], chain.values(x), rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(a[j], ref.a, rtol=0.0, atol=1e-6)
-            assert abs(b[j] - ref.b) <= 1e-6 * max(1.0, abs(ref.b))
+            h0 = BarrierFunction.circle(ob.center, ob.radius, ob.margin)
+            h1 = chain_lift(h0, dyn)
+            a_ref, b_ref = constraint_coeffs(h1, dyn, x)
+            np.testing.assert_allclose(
+                h[j], [h0.value(x), h1.value(x)], rtol=1e-9, atol=1e-9
+            )
+            np.testing.assert_allclose(a[j], a_ref, rtol=0.0, atol=1e-6)
+            assert abs(b[j] - b_ref) <= 1e-6 * max(1.0, abs(b_ref))
 
     def test_no_obstacles_gives_empty_tables(self):
         h, a, b = disc_barriers(
