@@ -8,6 +8,10 @@ projection reconciles the two (safety_filter), and solved tasks can be
 reused for new targets by mixing their controllers with similarity and
 desirability weights (compose).  Multi-vehicle problems factor into
 overlapping subsystems so each agent solves a small joint problem (mas).
+
+The package needs numpy only.  The oracles that need scipy, safe_lsoc.hjb
+(the grid PDE solve) and safe_lsoc.selfcheck, are imported by module name
+and are not re-exported here.
 """
 
 from .compose import (
@@ -32,7 +36,6 @@ from .harness import (
     write_sweep_csv,
     write_trajectories_csv,
 )
-from .hjb import GridSolution, GridSpec, grid_hjb_oracle
 from .lsoc import (
     BallBoundary,
     BoxBoundary,
@@ -106,8 +109,6 @@ __all__ = [
     "EXIT_TARGET",
     "FactorialSubsystem",
     "FirstExitDomain",
-    "GridSolution",
-    "GridSpec",
     "LsocProblem",
     "NoiseStream",
     "Obstacle",
@@ -137,7 +138,6 @@ __all__ = [
     "export_run",
     "extract_local_control",
     "final_cost",
-    "grid_hjb_oracle",
     "joint_dynamics",
     "list_bundled_scenarios",
     "load_scenario",

@@ -313,8 +313,7 @@ def _run_closed_loop(
         new_joint_target = _joint_target_state(targets, sub.members)
         kernel = _position_kernel(sub.size, sc.task.kernel_width)
         weights = composition_weights(comp_joint_targets, new_joint_target, kernel)
-        problem = subsystem_problem(sc, sub, targets, sc.sim.target_radius)
-        problems.append(dataclasses.replace(problem, final_cost=finals[0]))
+        problems.append(subsystem_problem(sc, sub, targets, finals[0]))
         comp_final.append(finals)
         mix_weights.append(weights)
 

@@ -126,12 +126,8 @@ def grid_hjb_oracle(problem: LsocProblem, spec: GridSpec) -> GridSolution:
 
     drift = np.asarray(problem.dynamics.drift(nodes), dtype=float).reshape(n_nodes, dim)
     q = np.asarray(problem.running_cost(nodes), dtype=float).reshape(n_nodes)
-    sigma = problem.dynamics.noise_cov
-
-    def diffusion(x: np.ndarray) -> np.ndarray:
-        b = np.asarray(problem.dynamics.control_matrix(x), dtype=float)
-        bs = b @ sigma
-        return bs @ bs.T
+    bs = problem.dynamics.control_matrix @ problem.dynamics.noise_cov
+    d_mat = bs @ bs.T
 
     if dim == 1:
         strides = (1,)
@@ -150,8 +146,6 @@ def grid_hjb_oracle(problem: LsocProblem, spec: GridSpec) -> GridSolution:
             vals.append(coeff)
 
     for row, node in enumerate(interior):
-        x = nodes[node]
-        d_mat = diffusion(x)
         diag = -q[node] / problem.lam
         for k in range(dim):
             f = drift[node, k]

@@ -14,16 +14,12 @@ and the optimal control is read off the first-step noise of the same rollouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .sde import (
-    ControlAffineDynamics,
-    NoiseStream,
-    validate_lambda_condition,
-)
+from .sde import ControlAffineDynamics, NoiseStream
 
 __all__ = [
     "FirstExitDomain",
@@ -132,8 +128,8 @@ class LsocProblem:
     """First-exit stochastic control problem in linearly-solvable form.
 
     running_cost and final_cost must be vectorized over leading state axes.
-    The control penalty R is derived from the noise so the lambda condition
-    holds by construction; passing an explicit R re-validates it.
+    The control penalty R = lam (sigma sigma^T)^{-1} is derived from the
+    noise, so the lambda condition holds by construction.
     """
 
     dynamics: ControlAffineDynamics
@@ -141,21 +137,13 @@ class LsocProblem:
     final_cost: Callable[[np.ndarray], np.ndarray]
     domain: FirstExitDomain
     lam: float = 1.0
-    control_weight: np.ndarray | None = None
+    control_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         sigma = self.dynamics.noise_cov
-        gram = sigma @ sigma.T
-        if self.control_weight is None:
-            self.control_weight = self.lam * np.linalg.inv(gram)
-        else:
-            self.control_weight = np.asarray(self.control_weight, dtype=float)
-            if not validate_lambda_condition(self.control_weight, sigma, self.lam):
-                raise ValueError(
-                    "control_weight violates sigma sigma^T = lambda R^{-1}"
-                )
+        self.control_weight = self.lam * np.linalg.inv(sigma @ sigma.T)
 
 
 @dataclass
@@ -219,15 +207,11 @@ def rollout_batch(
     exit_steps = np.full(n_rollouts, horizon, dtype=int)
 
     sigma = dyn.noise_cov
+    b_t = dyn.control_matrix.T
     for t in range(horizon):
         q = np.asarray(problem.running_cost(states), dtype=float)
         running[alive] += q[alive] * dt
-        b = np.asarray(dyn.control_matrix(states), dtype=float)
-        noise = dw[t] @ sigma.T
-        if b.ndim == 2:
-            step = dyn.drift(states) * dt + noise @ b.T
-        else:
-            step = dyn.drift(states) * dt + np.einsum("kmp,kp->km", b, noise)
+        step = dyn.drift(states) * dt + (dw[t] @ sigma.T) @ b_t
         new_states = np.where(alive[:, None], states + step, states)
         hit = problem.domain.boundary_mask(new_states) & alive
         if np.any(hit):
@@ -301,18 +285,12 @@ class ControlEstimate:
         return self.effective_sample_size < 2.0
 
 
-def estimate_optimal_control(
-    batch: RolloutBatch, lam: float, dt: float | None = None
-) -> ControlEstimate:
-    """u = sigma . (weighted mean of first-step noise) / dt.
+def estimate_optimal_control(batch: RolloutBatch, lam: float) -> ControlEstimate:
+    """u = sigma . (weighted mean of first-step noise) / dt, dt the batch's step.
 
     Weights are the normalized path weights softmax(-S/lambda); the reduction
     runs in rollout-index order so results are bitwise reproducible.
     """
-    if dt is None:
-        dt = batch.dt
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     lw = _log_weights(batch, lam)
     m = float(np.max(lw))
     w = np.exp(lw - m)
@@ -320,7 +298,7 @@ def estimate_optimal_control(
     prob = w / total
     ess = 1.0 / float(np.sum(prob**2))
     log_z = m + float(np.log(total / batch.n_rollouts))
-    u = batch.noise_cov @ (prob @ batch.dw0) / dt
+    u = batch.noise_cov @ (prob @ batch.dw0) / batch.dt
     return ControlEstimate(
         control=u,
         effective_sample_size=ess,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .sde import ControlAffineDynamics
 
@@ -41,7 +40,7 @@ class AgentGraph:
             raise ValueError("n_agents must be positive")
         norm = set()
         for e in edges:
-            if len(e) != 2:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ValueError(f"edge {e!r} must have exactly two endpoints")
             i, j = int(e[0]), int(e[1])
             if i == j:
@@ -103,43 +102,24 @@ def assemble_joint(
     return np.concatenate(parts)
 
 
-def joint_dynamics(
-    sub: FactorialSubsystem,
-    agent_dynamics: Mapping[int, ControlAffineDynamics] | Sequence[ControlAffineDynamics],
-) -> ControlAffineDynamics:
-    """Stack member dynamics block-diagonally in block order.
+def joint_dynamics(dyn: ControlAffineDynamics, n_members: int) -> ControlAffineDynamics:
+    """Stack n_members copies of one vehicle model block-diagonally.
 
-    Assumes constant control matrices (true for every system shipped here);
-    member drift closures must be vectorized over leading axes.
+    The member drift must be vectorized over leading axes.
     """
-    dyns = [agent_dynamics[a] for a in sub.members]
-    state_dims = [d.state_dim for d in dyns]
-    input_dims = [d.input_dim for d in dyns]
-    m_total, p_total = sum(state_dims), sum(input_dims)
-    x_offsets = np.concatenate(([0], np.cumsum(state_dims)))
-
-    b_joint = scipy.linalg.block_diag(
-        *[np.asarray(d.control_matrix(np.zeros(d.state_dim)), dtype=float) for d in dyns]
-    )
-    sigma_joint = scipy.linalg.block_diag(*[d.noise_cov for d in dyns])
+    m = dyn.state_dim
 
     def drift(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        parts = [
-            dyns[k].drift(x[..., x_offsets[k]:x_offsets[k + 1]])
-            for k in range(len(dyns))
-        ]
+        parts = [dyn.drift(x[..., k * m:(k + 1) * m]) for k in range(n_members)]
         return np.concatenate(parts, axis=-1)
 
-    def control_matrix(x: np.ndarray) -> np.ndarray:
-        return b_joint
-
     return ControlAffineDynamics(
-        state_dim=m_total,
-        input_dim=p_total,
+        state_dim=n_members * m,
+        input_dim=n_members * dyn.input_dim,
         drift=drift,
-        control_matrix=control_matrix,
-        noise_cov=sigma_joint,
+        control_matrix=np.kron(np.eye(n_members), dyn.control_matrix),
+        noise_cov=np.kron(np.eye(n_members), dyn.noise_cov),
     )
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def uav_dynamics(sigma: float = 0.05, nu: float = 0.025) -> ControlAffineDynamic
         state_dim=UAV_DIM,
         input_dim=UAV_INPUTS,
         drift=uav_drift,
-        control_matrix=lambda x: _UAV_B,
+        control_matrix=_UAV_B,
         noise_cov=np.diag([sigma, nu]),
     )
 
@@ -281,6 +281,8 @@ class Scenario:
 def _require_keys(
     obj: dict, path: str, required: Sequence[str], optional: Sequence[str] = ()
 ) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path}: expected an object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
@@ -289,37 +291,62 @@ def _require_keys(
         raise ScenarioError(f"{path}: missing required keys {missing}")
 
 
+def _float_array(value, path: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: expected numbers") from exc
+
+
 def _as_floats(value, path: str, length: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, path)
     if arr.shape != (length,) or not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{path}: expected {length} finite numbers")
     return arr
 
 
+def _number(value, path: str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: expected a number") from exc
+    if not math.isfinite(v):
+        raise ScenarioError(f"{path}: must be finite")
+    return v
+
+
 def _positive(value, path: str) -> float:
-    v = float(value)
-    if not np.isfinite(v) or v <= 0:
+    v = _number(value, path)
+    if v <= 0:
         raise ScenarioError(f"{path}: must be a positive number")
     return v
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{path}: expected an integer >= {minimum}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list")
+    return value
 
 
 def _parse_component(
     entry: dict, index: int, n_agents: int, defaults: CostParams
 ) -> ComponentSpec:
     path = f"task.components[{index}]"
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{path}: expected an object")
     _require_keys(entry, path, ["targets"], ["id", "final"])
     targets = _parse_targets(entry["targets"], f"{path}.targets", n_agents)
     c, d, alpha = defaults.final_c, defaults.final_d, defaults.final_alpha
     if "final" in entry:
         fin = entry["final"]
         _require_keys(fin, f"{path}.final", [], ["c", "d", "alpha"])
-        c = float(fin.get("c", c))
-        d = float(fin.get("d", d))
-        alpha = float(fin.get("alpha", alpha))
-        if d <= 0:
-            raise ScenarioError(f"{path}.final.d: must be positive")
+        c = _number(fin.get("c", c), f"{path}.final.c")
+        d = _positive(fin.get("d", d), f"{path}.final.d")
+        alpha = _number(fin.get("alpha", alpha), f"{path}.final.alpha")
     return ComponentSpec(
         task_id=str(entry.get("id", f"component_{index}")),
         targets=targets,
@@ -331,7 +358,7 @@ def _parse_component(
 
 def _parse_targets(value, path: str, n_agents: int) -> np.ndarray:
     """Accept one [x, y] broadcast to all agents, or one pair per agent."""
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, path)
     if arr.shape == (2,):
         arr = np.tile(arr, (n_agents, 1))
     if arr.shape != (n_agents, 2) or not np.all(np.isfinite(arr)):
@@ -348,8 +375,6 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario document must be a JSON object")
     _require_keys(
         raw, "scenario", ["agents", "obstacles", "sim", "task"],
         ["edges", "costs", "pi"],
@@ -361,8 +386,6 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
     agents = []
     for i, entry in enumerate(raw["agents"]):
         apath = f"agents[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{apath}: expected an object")
         _require_keys(entry, apath, ["start", "target"])
         agents.append(
             AgentSpec(
@@ -374,25 +397,19 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
 
     try:
         graph = AgentGraph.from_edge_list(n_agents, raw.get("edges", []))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"edges: {exc}") from exc
 
     obstacles = []
-    for j, entry in enumerate(raw["obstacles"]):
+    for j, entry in enumerate(_list(raw["obstacles"], "obstacles")):
         opath = f"obstacles[{j}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{opath}: expected an object")
         _require_keys(entry, opath, ["center", "radius", "margin"], ["soft_cost"])
         center = _as_floats(entry["center"], f"{opath}.center", 2)
+        radius = _positive(entry["radius"], f"{opath}.radius")
+        margin = _number(entry["margin"], f"{opath}.margin")
+        soft_cost = _number(entry.get("soft_cost", 160.0), f"{opath}.soft_cost")
         try:
-            obstacles.append(
-                Obstacle(
-                    center=(center[0], center[1]),
-                    radius=_positive(entry["radius"], f"{opath}.radius"),
-                    margin=float(entry["margin"]),
-                    soft_cost=float(entry.get("soft_cost", 160.0)),
-                )
-            )
+            obstacles.append(Obstacle(tuple(center), radius, margin, soft_cost))
         except ValueError as exc:
             raise ScenarioError(f"{opath}: {exc}") from exc
 
@@ -404,26 +421,25 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
     fin = costs_raw.get("final", {})
     _require_keys(fin, "costs.final", [], ["c", "d", "alpha"])
     coop_pairs = []
-    for k, pair in enumerate(costs_raw.get("coop_pairs", [])):
+    pairs = _list(costs_raw.get("coop_pairs", []), "costs.coop_pairs")
+    for k, pair in enumerate(pairs):
         ppath = f"costs.coop_pairs[{k}]"
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{ppath}: expected [i, j]")
-        i, j = int(pair[0]), int(pair[1])
+        i, j = (_integer(a, ppath, 0) for a in pair)
         if frozenset((i, j)) not in graph.edges:
             raise ScenarioError(
                 f"{ppath}: cooperation pair ({i}, {j}) is not a graph edge"
             )
         coop_pairs.append((min(i, j), max(i, j)))
     costs = CostParams(
-        goal_weight=float(costs_raw.get("goal_weight", 1.0)),
-        pair_weight=float(costs_raw.get("pair_weight", 0.0)),
+        goal_weight=_number(costs_raw.get("goal_weight", 1.0), "costs.goal_weight"),
+        pair_weight=_number(costs_raw.get("pair_weight", 0.0), "costs.pair_weight"),
         coop_pairs=tuple(sorted(set(coop_pairs))),
-        final_c=float(fin.get("c", 0.0)),
-        final_d=float(fin.get("d", 2.0)),
-        final_alpha=float(fin.get("alpha", 0.0)),
+        final_c=_number(fin.get("c", 0.0), "costs.final.c"),
+        final_d=_positive(fin.get("d", 2.0), "costs.final.d"),
+        final_alpha=_number(fin.get("alpha", 0.0), "costs.final.alpha"),
     )
-    if costs.final_d <= 0:
-        raise ScenarioError("costs.final.d: must be positive")
 
     pi_raw = raw.get("pi", {})
     _require_keys(
@@ -431,27 +447,23 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         ["rollouts", "horizon_steps", "temperature", "sigma", "nu"],
     )
     pi = PiParams(
-        rollouts=int(pi_raw.get("rollouts", 2000)),
-        horizon_steps=int(pi_raw.get("horizon_steps", 60)),
+        rollouts=_integer(pi_raw.get("rollouts", 2000), "pi.rollouts", 1),
+        horizon_steps=_integer(
+            pi_raw.get("horizon_steps", 60), "pi.horizon_steps", 1
+        ),
         temperature=_positive(pi_raw.get("temperature", 1.0), "pi.temperature"),
         sigma=_positive(pi_raw.get("sigma", 0.05), "pi.sigma"),
         nu=_positive(pi_raw.get("nu", 0.025), "pi.nu"),
     )
-    if pi.rollouts < 1 or pi.horizon_steps < 1:
-        raise ScenarioError("pi.rollouts and pi.horizon_steps must be >= 1")
 
     sim_raw = raw["sim"]
     _require_keys(
         sim_raw, "sim", ["dt", "max_time", "seeds"],
         ["target_radius", "domain"],
     )
-    seeds = sim_raw["seeds"]
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or any((not isinstance(s, int)) or s < 0 for s in seeds)
-    ):
-        raise ScenarioError("sim.seeds: expected a non-empty list of ints >= 0")
+    seeds = _list(sim_raw["seeds"], "sim.seeds")
+    if not seeds:
+        raise ScenarioError("sim.seeds: expected a non-empty list")
     domain_raw = sim_raw.get("domain", [[-5.0, 45.0], [-5.0, 40.0]])
     try:
         (xlo, xhi), (ylo, yhi) = (
@@ -464,7 +476,9 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
     sim = SimParams(
         dt=_positive(sim_raw["dt"], "sim.dt"),
         max_time=_positive(sim_raw["max_time"], "sim.max_time"),
-        seeds=tuple(int(s) for s in seeds),
+        seeds=tuple(
+            _integer(s, f"sim.seeds[{k}]", 0) for k, s in enumerate(seeds)
+        ),
         target_radius=_positive(sim_raw.get("target_radius", 1.0), "sim.target_radius"),
         domain=((xlo, xhi), (ylo, yhi)),
     )
@@ -487,9 +501,10 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
             raise ScenarioError(
                 "task: composite mode requires components and new_target"
             )
+        entries = _list(task_raw["components"], "task.components")
         comps = tuple(
             _parse_component(entry, f, n_agents, costs)
-            for f, entry in enumerate(task_raw["components"])
+            for f, entry in enumerate(entries)
         )
         if not comps:
             raise ScenarioError("task.components: need at least one component")
@@ -558,17 +573,16 @@ def validate_physics(sc: Scenario) -> None:
 # Scenario -> solver plumbing ------------------------------------------------
 
 
-def subsystem_domain(
-    sc: Scenario,
-    sub: FactorialSubsystem,
-    target: np.ndarray,
-    target_radius: float,
-) -> FirstExitDomain:
+def subsystem_domain(sc: Scenario, target: np.ndarray) -> FirstExitDomain:
     """Exit set for one subsystem: central target ball or arena box exit."""
     (xlo, xhi), (ylo, yhi) = sc.sim.domain
     return UnionDomain(
         parts=[
-            BallBoundary(dims=(0, 1), center=np.asarray(target, dtype=float), radius=target_radius),
+            BallBoundary(
+                dims=(0, 1),
+                center=np.asarray(target, dtype=float),
+                radius=sc.sim.target_radius,
+            ),
             BoxBoundary(dims=(0, 1), lower=np.array([xlo, ylo]), upper=np.array([xhi, yhi])),
         ]
     )
@@ -621,14 +635,11 @@ def subsystem_final_cost(
     sc: Scenario,
     sub: FactorialSubsystem,
     targets: np.ndarray,
-    c: float | None = None,
-    d: float | None = None,
-    alpha: float | None = None,
+    c: float,
+    d: float,
+    alpha: float,
 ):
     """Sum of per-member final costs against the given agent targets."""
-    c = sc.costs.final_c if c is None else c
-    d = sc.costs.final_d if d is None else d
-    alpha = sc.costs.final_alpha if alpha is None else alpha
     member_targets = np.asarray(targets, dtype=float)[list(sub.members)]
 
     def phi(x: np.ndarray) -> np.ndarray:
@@ -646,19 +657,19 @@ def subsystem_problem(
     sc: Scenario,
     sub: FactorialSubsystem,
     targets: np.ndarray,
-    target_radius: float,
+    final_cost: Callable[[np.ndarray], np.ndarray],
 ) -> LsocProblem:
-    """First-exit problem one agent solves over its factorial subsystem."""
-    dyn_single = sc.agent_dynamics()
-    dyn = joint_dynamics(sub, {a: dyn_single for a in sub.members})
+    """First-exit problem one agent solves over its factorial subsystem.
+
+    final_cost is the terminal cost the rollouts are scored with, as built
+    by subsystem_final_cost.
+    """
     targets = np.asarray(targets, dtype=float)
     return LsocProblem(
-        dynamics=dyn,
+        dynamics=joint_dynamics(sc.agent_dynamics(), sub.size),
         running_cost=subsystem_running_cost(sc, sub, targets),
-        final_cost=subsystem_final_cost(sc, sub, targets),
-        domain=subsystem_domain(
-            sc, sub, targets[sub.central], target_radius
-        ),
+        final_cost=final_cost,
+        domain=subsystem_domain(sc, targets[sub.central]),
         lam=sc.pi.temperature,
     )
 

@@ -1,6 +1,7 @@
 """Control-affine SDE model, counter-based noise streams, Euler-Maruyama stepping.
 
-Dynamics are dx = g(x) dt + B(x) (u dt + sigma dw) with dw ~ N(0, dt I).
+Dynamics are dx = g(x) dt + B (u dt + sigma dw) with dw ~ N(0, dt I) and a
+constant input matrix B.
 All randomness flows through NoiseStream so that any (seed, stream_id) pair
 reproduces the same draws regardless of execution order.
 """
@@ -53,20 +54,26 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class ControlAffineDynamics:
-    """dx = drift(x) dt + control_matrix(x) (u dt + sigma dw).
+    """dx = drift(x) dt + B (u dt + sigma dw).
 
     drift maps (..., M) -> (..., M) (vectorized over leading axes);
-    control_matrix maps a state to (M, P), or to (..., M, P) when state
-    dependent and called on a batch. noise_cov is the constant P x P sigma.
+    control_matrix is the constant M x P input matrix B and noise_cov the
+    constant P x P sigma.
     """
 
     state_dim: int
     input_dim: int
     drift: Callable[[np.ndarray], np.ndarray]
-    control_matrix: Callable[[np.ndarray], np.ndarray]
+    control_matrix: np.ndarray
     noise_cov: np.ndarray
 
     def __post_init__(self) -> None:
+        self.control_matrix = np.asarray(self.control_matrix, dtype=float)
+        if self.control_matrix.shape != (self.state_dim, self.input_dim):
+            raise ValueError(
+                f"control_matrix must be ({self.state_dim}, {self.input_dim}), "
+                f"got {self.control_matrix.shape}"
+            )
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
         if self.noise_cov.shape != (self.input_dim, self.input_dim):
             raise ValueError(
@@ -137,13 +144,13 @@ def em_step(
     dt: float,
     dw: np.ndarray,
 ) -> np.ndarray:
-    """One Euler-Maruyama step: x + g(x) dt + B(x) (u dt + sigma dw)."""
+    """One Euler-Maruyama step: x + g(x) dt + B (u dt + sigma dw), B constant."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     dw = np.asarray(dw, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(dw))):
         raise SimulationError("non-finite input to em_step")
-    b = np.asarray(dyn.control_matrix(x), dtype=float)
+    b = dyn.control_matrix
     return x + dyn.drift(x) * dt + b @ (u * dt + dyn.noise_cov @ dw)
 
 

@@ -182,7 +182,7 @@ def _toy_problem_1d() -> tuple[LsocProblem, GridSpec]:
         state_dim=1,
         input_dim=1,
         drift=lambda x: np.zeros_like(np.atleast_2d(x)),
-        control_matrix=lambda x: np.array([[1.0]]),
+        control_matrix=np.array([[1.0]]),
         noise_cov=np.array([[0.6]]),
     )
     problem = LsocProblem(
@@ -210,7 +210,7 @@ def _toy_problem_2d() -> tuple[LsocProblem, GridSpec]:
         state_dim=2,
         input_dim=2,
         drift=drift,
-        control_matrix=lambda x: np.eye(2),
+        control_matrix=np.eye(2),
         noise_cov=np.diag([0.5, 0.7]),
     )
     problem = LsocProblem(
@@ -227,9 +227,8 @@ def _grid_control(problem: LsocProblem, sol, x: np.ndarray) -> np.ndarray:
     """u = sigma sigma^T B^T grad(Z)/Z from the grid solution."""
     z = sol.z_at(x)
     g = sol.gradient_at(x)
-    b = np.asarray(problem.dynamics.control_matrix(x), dtype=float)
     gram = problem.dynamics.noise_cov @ problem.dynamics.noise_cov.T
-    return gram @ b.T @ np.atleast_1d(g) / z
+    return gram @ problem.dynamics.control_matrix.T @ np.atleast_1d(g) / z
 
 
 def pi_oracle_check(

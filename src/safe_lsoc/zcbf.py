@@ -132,10 +132,10 @@ def chain_lift(
     and third derivatives of h are not otherwise available).
     """
 
+    bs = dyn.control_matrix @ dyn.noise_cov
+
     def value(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        b = np.asarray(dyn.control_matrix(x), dtype=float)
-        bs = b @ dyn.noise_cov
         trace = 0.5 * float(np.einsum("ip,ij,jp->", bs, h.hessian(x), bs))
         return float(h.gradient(x) @ dyn.drift(x)) + trace + h.value(x)
 
@@ -153,10 +153,10 @@ def detect_relative_degree(
     sample_states = np.atleast_2d(np.asarray(sample_states, dtype=float))
     h = h0
     for r in range(max_degree + 1):
-        coupling = 0.0
-        for x in sample_states:
-            b = np.asarray(dyn.control_matrix(x), dtype=float)
-            coupling = max(coupling, float(np.max(np.abs(h.gradient(x) @ b))))
+        coupling = max(
+            float(np.max(np.abs(h.gradient(x) @ dyn.control_matrix)))
+            for x in sample_states
+        )
         if coupling > tol:
             return r
         h = chain_lift(h, dyn)
@@ -175,10 +175,9 @@ def constraint_coeffs(
     """
     x = np.asarray(x, dtype=float)
     grad = h_r.gradient(x)
-    b_mat = np.asarray(dyn.control_matrix(x), dtype=float)
-    bs = b_mat @ dyn.noise_cov
+    bs = dyn.control_matrix @ dyn.noise_cov
     trace = 0.5 * float(np.einsum("ip,ij,jp->", bs, h_r.hessian(x), bs))
-    a = b_mat.T @ grad
+    a = dyn.control_matrix.T @ grad
     b = -h_r.value(x) - float(grad @ dyn.drift(x)) - trace
     return a, b
 

@@ -68,6 +68,16 @@ class TestRunCommand:
         assert code == cli.EXIT_INVALID
         assert "no bundled scenario" in capsys.readouterr().err
 
+    def test_malformed_field_returns_invalid_exit(
+        self, scenario_path_factory, capsys
+    ):
+        data = tiny_scenario_dict()
+        data["pi"]["rollouts"] = "many"
+        path = scenario_path_factory(data, "bad")
+        code = cli.main(["run", str(path)])
+        assert code == cli.EXIT_INVALID
+        assert "error: pi.rollouts" in capsys.readouterr().err
+
     def test_bad_seeds(self, tiny_path, capsys):
         code = cli.main(["run", str(tiny_path), "--seeds", "0,x"])
         assert code == cli.EXIT_INVALID

@@ -28,7 +28,7 @@ def line_problem(sigma: float = 0.5, q: float = 1.0, lam: float = 1.0) -> LsocPr
         state_dim=1,
         input_dim=1,
         drift=lambda x: np.zeros_like(np.atleast_2d(x)),
-        control_matrix=lambda x: np.array([[1.0]]),
+        control_matrix=np.array([[1.0]]),
         noise_cov=np.array([[sigma]]),
     )
     return LsocProblem(
@@ -101,18 +101,6 @@ class TestProblemSetup:
         assert validate_lambda_condition(
             p.control_weight, p.dynamics.noise_cov, 0.8
         )
-
-    def test_explicit_bad_weight_rejected(self):
-        dyn = line_problem().dynamics
-        with pytest.raises(ValueError):
-            LsocProblem(
-                dynamics=dyn,
-                running_cost=lambda x: np.zeros(1),
-                final_cost=lambda x: np.zeros(1),
-                domain=BoxBoundary((0,), np.array([-1.0]), np.array([1.0])),
-                lam=1.0,
-                control_weight=np.array([[1.0]]),
-            )
 
     def test_nonpositive_lambda_rejected(self):
         dyn = line_problem().dynamics
@@ -277,7 +265,7 @@ class TestGridOracle:
             state_dim=1,
             input_dim=1,
             drift=lambda x: np.full_like(np.atleast_2d(x), g),
-            control_matrix=lambda x: np.array([[1.0]]),
+            control_matrix=np.array([[1.0]]),
             noise_cov=np.array([[sigma]]),
         )
         problem = LsocProblem(

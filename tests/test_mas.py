@@ -86,8 +86,7 @@ class TestAssembleJoint:
 
 class TestJointDynamics:
     def test_blocks_partition_state_and_input(self):
-        sub = FactorialSubsystem(central=0, members=(0, 1))
-        dyn = joint_dynamics(sub, [uav_dynamics(), uav_dynamics()])
+        dyn = joint_dynamics(uav_dynamics(), 2)
         assert dyn.state_dim == 8
         assert dyn.input_dim == 4
         assert dyn.noise_cov.shape == (4, 4)
@@ -96,9 +95,8 @@ class TestJointDynamics:
         )
 
     def test_drift_stacks_blockwise(self):
-        sub = FactorialSubsystem(central=0, members=(0, 1))
         single = uav_dynamics()
-        joint = joint_dynamics(sub, [single, single])
+        joint = joint_dynamics(single, 2)
         xa = np.array([0.0, 0.0, 2.0, 0.5])
         xb = np.array([3.0, 1.0, 1.0, -0.25])
         out = joint.drift(np.concatenate([xa, xb]))
@@ -106,17 +104,15 @@ class TestJointDynamics:
         np.testing.assert_allclose(out[4:], single.drift(xb))
 
     def test_drift_vectorized_over_batches(self):
-        sub = FactorialSubsystem(central=0, members=(0, 1))
-        joint = joint_dynamics(sub, [uav_dynamics(), uav_dynamics()])
+        joint = joint_dynamics(uav_dynamics(), 2)
         batch = np.random.default_rng(0).normal(size=(7, 8))
         out = joint.drift(batch)
         assert out.shape == (7, 8)
         np.testing.assert_allclose(out[3], joint.drift(batch[3]))
 
     def test_control_matrix_block_diagonal(self):
-        sub = FactorialSubsystem(central=0, members=(0, 1))
-        joint = joint_dynamics(sub, [uav_dynamics(), uav_dynamics()])
-        b = np.asarray(joint.control_matrix(np.zeros(8)))
+        joint = joint_dynamics(uav_dynamics(), 2)
+        b = joint.control_matrix
         assert b.shape == (8, 4)
         np.testing.assert_allclose(b[:4, 2:], 0.0)
         np.testing.assert_allclose(b[4:, :2], 0.0)

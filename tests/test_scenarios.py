@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,7 +57,7 @@ class TestVehicleModel:
         dyn = uav_dynamics(sigma=0.05, nu=0.025)
         assert dyn.state_dim == UAV_DIM and dyn.input_dim == UAV_INPUTS
         np.testing.assert_array_equal(dyn.noise_cov, np.diag([0.05, 0.025]))
-        b = dyn.control_matrix(np.zeros(UAV_DIM))
+        b = dyn.control_matrix
         assert b.shape == (UAV_DIM, UAV_INPUTS)
         np.testing.assert_array_equal(b[:2], 0.0)
 
@@ -284,6 +286,33 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="unknown keys"):
             write_scenario(data)
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("pi.rollouts", lambda d: d["pi"].update(rollouts="many")),
+            ("pi.rollouts", lambda d: d["pi"].update(rollouts=2.7)),
+            ("sim.dt", lambda d: d["sim"].update(dt="fast")),
+            ("agents[0].start", lambda d: d["agents"][0].update(start="here")),
+            ("obstacles", lambda d: d.update(obstacles=3)),
+            ("edges", lambda d: d.update(edges=[7])),
+            ("costs.coop_pairs", lambda d: d["costs"].update(coop_pairs=[5])),
+            ("sim.seeds[0]", lambda d: d["sim"].update(seeds=[True])),
+            ("obstacles[0].radius", lambda d: d["obstacles"][0].update(radius="big")),
+        ],
+        ids=[
+            "rollouts_string", "rollouts_fraction", "dt_string", "start_string",
+            "obstacles_number", "edge_number", "coop_pair_number", "seed_boolean",
+            "radius_string",
+        ],
+    )
+    def test_malformed_field_rejected_with_its_path(
+        self, write_scenario, field, edit
+    ):
+        data = tiny_scenario_dict()
+        edit(data)
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            write_scenario(data)
+
     def test_unknown_nested_key_rejected(self, write_scenario):
         data = tiny_scenario_dict()
         data["pi"]["typo_key"] = 3
@@ -407,9 +436,12 @@ class TestSubsystemPlumbing:
     def test_problem_assembly_respects_lambda(self, tiny_scenario):
         sub = build_subsystems(tiny_scenario.graph)[0]
         targets = np.array([a.target for a in tiny_scenario.agents])
-        prob = subsystem_problem(
-            tiny_scenario, sub, targets, tiny_scenario.sim.target_radius
+        costs = tiny_scenario.costs
+        phi = subsystem_final_cost(
+            tiny_scenario, sub, targets, costs.final_c, costs.final_d, costs.final_alpha
         )
+        prob = subsystem_problem(tiny_scenario, sub, targets, phi)
+        assert prob.final_cost is phi
         assert prob.lam == tiny_scenario.pi.temperature
         assert prob.dynamics.state_dim == UAV_DIM
         # start is interior, target is on the exit set
@@ -434,3 +466,5 @@ class TestSubsystemPlumbing:
             x, comp.targets[0], comp.final_c, comp.final_d, comp.final_alpha
         )
         np.testing.assert_allclose(phi(x), expected, rtol=1e-12)
+        prob = subsystem_problem(tiny_composite, sub, comp.targets, phi)
+        np.testing.assert_allclose(prob.final_cost(x), expected, rtol=1e-12)

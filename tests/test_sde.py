@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safe_lsoc.sde import (
@@ -28,7 +28,7 @@ def double_integrator() -> ControlAffineDynamics:
             [np.asarray(x)[..., 1], np.zeros_like(np.asarray(x)[..., 1])],
             axis=-1,
         ),
-        control_matrix=lambda x: np.array([[0.0], [1.0]]),
+        control_matrix=np.array([[0.0], [1.0]]),
         noise_cov=np.array([[0.3]]),
     )
 
@@ -110,7 +110,7 @@ class TestEmStep:
             state_dim=2,
             input_dim=1,
             drift=lambda x: np.array([1.5, -0.25]),
-            control_matrix=lambda x: np.array([[0.0], [2.0]]),
+            control_matrix=np.array([[0.0], [2.0]]),
             noise_cov=np.array([[0.1]]),
         )
         x = np.array([0.0, 0.0])
@@ -153,20 +153,31 @@ class TestTrajectory:
 
 
 class TestDynamicsValidation:
-    @given(n=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=4))
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=4),
+        rows=st.integers(min_value=1, max_value=3),
+    )
+    @example(n=2, m=2, rows=2)
+    @example(n=2, m=2, rows=3)
     @settings(max_examples=20)
-    def test_noise_cov_shape_enforced(self, n, m):
+    def test_noise_cov_shape_enforced(self, n, m, rows):
         cov = np.eye(m)
         build = lambda: ControlAffineDynamics(
             state_dim=2, input_dim=n,
-            drift=lambda x: x, control_matrix=lambda x: np.zeros((2, n)),
+            drift=lambda x: x, control_matrix=np.zeros((rows, n)),
             noise_cov=cov,
         )
-        if n == m:
-            assert build().noise_cov.shape == (n, n)
-        else:
-            with pytest.raises(ValueError):
+        if rows != 2:
+            with pytest.raises(ValueError, match="control_matrix"):
                 build()
+        elif n != m:
+            with pytest.raises(ValueError, match="noise_cov"):
+                build()
+        else:
+            dyn = build()
+            assert dyn.noise_cov.shape == (n, n)
+            assert dyn.control_matrix.shape == (2, n)
 
 
 class TestLambdaCondition:

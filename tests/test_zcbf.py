@@ -29,7 +29,7 @@ def double_integrator(s: float = 0.4) -> ControlAffineDynamics:
             [np.asarray(x)[..., 1], np.zeros_like(np.asarray(x)[..., 1])],
             axis=-1,
         ),
-        control_matrix=lambda x: np.array([[0.0], [1.0]]),
+        control_matrix=np.array([[0.0], [1.0]]),
         noise_cov=np.array([[s]]),
     )
 
@@ -94,7 +94,7 @@ class TestChain:
             state_dim=2,
             input_dim=1,
             drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            control_matrix=lambda x: np.zeros((2, 1)),
+            control_matrix=np.zeros((2, 1)),
             noise_cov=np.array([[0.1]]),
         )
         h0 = BarrierFunction.from_value(lambda x: float(x[0]))
@@ -106,7 +106,7 @@ class TestChain:
         h0 = BarrierFunction.circle((2.0, 1.0), 1.5)
         assert detect_relative_degree(h0, dyn, SAMPLE_UAV_STATES) == 1
         h1 = chain_lift(h0, dyn)
-        b = np.array(dyn.control_matrix(SAMPLE_UAV_STATES[0]))
+        b = dyn.control_matrix
         for x in SAMPLE_UAV_STATES:
             # Below the top level the control must not appear.
             np.testing.assert_allclose(h0.gradient(x) @ b, 0.0)
