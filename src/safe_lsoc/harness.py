@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compose import composite_control, composition_weights, state_weights
-from .lsoc import estimate_optimal_control, rollout_batch
+from .lsoc import estimate_optimal_control
 from .mas import assemble_joint, build_subsystems, extract_local_control
 from .scenarios import (
     UAV_DIM,
@@ -34,7 +34,7 @@ from .scenarios import (
     disc_barriers,
     obstacle_discs,
     subsystem_final_cost,
-    subsystem_problem,
+    subsystem_rollouts,
     validate_physics,
 )
 from .sde import (
@@ -295,9 +295,9 @@ def _run_closed_loop(
     filtered = mode == MODE_FILTERED
     composite = sc.task.mode == "composite"
 
-    # Per subsystem: the problem sampled for the run's targets, one terminal
+    # Per subsystem: the rollout sampler for the run's targets, one terminal
     # cost per component, and the task-similarity weights of the components.
-    problems = []
+    samplers = []
     comp_final = []
     mix_weights = []
     for sub in loop.subsystems:
@@ -313,7 +313,7 @@ def _run_closed_loop(
         new_joint_target = _joint_target_state(targets, sub.members)
         kernel = _position_kernel(sub.size, sc.task.kernel_width)
         weights = composition_weights(comp_joint_targets, new_joint_target, kernel)
-        problems.append(subsystem_problem(sc, sub, targets, finals[0]))
+        samplers.append(subsystem_rollouts(sc, sub, targets, finals[0]))
         comp_final.append(finals)
         mix_weights.append(weights)
 
@@ -325,8 +325,7 @@ def _run_closed_loop(
         for i in active:
             sub = loop.subsystems[i]
             joint = assemble_joint(sub, loop.x)
-            batch = rollout_batch(
-                problems[i],
+            batch = samplers[i](
                 joint,
                 dt,
                 sc.pi.horizon_steps,

@@ -181,7 +181,10 @@ def rollout_batch(
 
     Rollouts that never exit are evaluated at the horizon state. The whole
     batch is drawn from `stream` in one call, so the batch is a deterministic
-    function of (seed, stream_id) regardless of execution order.
+    function of (seed, stream_id) regardless of execution order.  The closed
+    loop samples with scenarios.subsystem_rollouts, which reproduces this
+    function bit for bit for stacked unicycles; this generic form is its
+    oracle and the sampler of the grid-oracle toy problems.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -23,10 +23,11 @@ from .lsoc import (
     BoxBoundary,
     FirstExitDomain,
     LsocProblem,
+    RolloutBatch,
     UnionDomain,
 )
 from .mas import AgentGraph, FactorialSubsystem, joint_dynamics
-from .sde import ControlAffineDynamics, validate_lambda_condition
+from .sde import ControlAffineDynamics, NoiseStream
 
 __all__ = [
     "Obstacle",
@@ -466,11 +467,13 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         raise ScenarioError("sim.seeds: expected a non-empty list")
     domain_raw = sim_raw.get("domain", [[-5.0, 45.0], [-5.0, 40.0]])
     try:
-        (xlo, xhi), (ylo, yhi) = (
-            (float(a), float(b)) for a, b in domain_raw
-        )
+        (xlo, xhi), (ylo, yhi) = domain_raw
     except (TypeError, ValueError) as exc:
         raise ScenarioError("sim.domain: expected [[xlo, xhi], [ylo, yhi]]") from exc
+    xlo, xhi, ylo, yhi = (
+        _number(v, f"sim.domain[{k // 2}][{k % 2}]")
+        for k, v in enumerate((xlo, xhi, ylo, yhi))
+    )
     if xlo >= xhi or ylo >= yhi:
         raise ScenarioError("sim.domain: box must have positive extent")
     sim = SimParams(
@@ -536,11 +539,6 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
 
 def validate_physics(sc: Scenario) -> None:
     """Reject setups the solver cannot honestly run."""
-    sigma = np.diag([sc.pi.sigma, sc.pi.nu])
-    r_derived = sc.control_weight()
-    if not validate_lambda_condition(r_derived, sigma, sc.pi.temperature):
-        raise ScenarioError("noise covariance and control weight are inconsistent")
-
     (xlo, xhi), (ylo, yhi) = sc.sim.domain
     all_targets = [a.target for a in sc.agents]
     if sc.task.mode == "composite":
@@ -588,16 +586,17 @@ def subsystem_domain(sc: Scenario, target: np.ndarray) -> FirstExitDomain:
     )
 
 
-def subsystem_running_cost(
+def subsystem_cost_terms(
     sc: Scenario,
     sub: FactorialSubsystem,
     targets: np.ndarray,
-):
-    """Running-cost closure for one subsystem against the given agent targets.
+) -> tuple[np.ndarray, float, list[tuple[int, float]], float]:
+    """Member targets, d_max, pair blocks and goal weight of one subsystem.
 
-    Agents in no cooperation pair weight their goal term at 1; cooperating
-    agents use costs.goal_weight and costs.pair_weight on central-involving
-    pairs. targets is the full (n_agents, 2) per-agent target array.
+    d_max is the central agent's start distance to its target; pair_blocks
+    lists (member block, start distance) for the central agent's cooperation
+    partners inside the subsystem.  Agents in no cooperation pair weight
+    their goal term at 1; cooperating agents use costs.goal_weight.
     """
     central = sub.central
     member_targets = np.asarray(targets, dtype=float)[list(sub.members)]
@@ -615,6 +614,22 @@ def subsystem_running_cost(
         )
         pair_blocks.append((sub.block(other), d_pair))
     goal_weight = sc.costs.goal_weight if pair_blocks else 1.0
+    return member_targets, d_max, pair_blocks, goal_weight
+
+
+def subsystem_running_cost(
+    sc: Scenario,
+    sub: FactorialSubsystem,
+    targets: np.ndarray,
+):
+    """Running-cost closure for one subsystem against the given agent targets.
+
+    targets is the full (n_agents, 2) per-agent target array; the terms come
+    from subsystem_cost_terms.
+    """
+    member_targets, d_max, pair_blocks, goal_weight = subsystem_cost_terms(
+        sc, sub, targets
+    )
     obstacles = sc.obstacles
 
     def q(x: np.ndarray) -> np.ndarray:
@@ -672,6 +687,137 @@ def subsystem_problem(
         domain=subsystem_domain(sc, targets[sub.central]),
         lam=sc.pi.temperature,
     )
+
+
+def subsystem_rollouts(
+    sc: Scenario,
+    sub: FactorialSubsystem,
+    targets: np.ndarray,
+    final_cost: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[np.ndarray, float, int, int, NoiseStream], RolloutBatch]:
+    """Rollout sampler of one subsystem; the closed loop's only sampler.
+
+    The returned sample(x0, dt, horizon, n_rollouts, stream) computes what
+    rollout_batch(subsystem_problem(sc, sub, targets, final_cost), x0, dt,
+    horizon, n_rollouts, stream) computes, bit for bit, for the stacked
+    unicycles the schema describes.  The state is one (4, n_members, K)
+    array of x, y, v, phi rows.  The input and noise matrices only add
+    sigma * dw to v and phi, distances are sqrt(dx*dx + dy*dy) as
+    np.linalg.norm forms them, and disc penalties add in obstacle order.
+    A path stops at the target ball or the arena box of the central agent;
+    a stopped path keeps its state, and a box exit is clipped onto the box.
+    """
+    member_targets, d_max, pair_blocks, goal_weight = subsystem_cost_terms(
+        sc, sub, targets
+    )
+    target = member_targets[0].reshape(2, 1)
+    pair_weight = sc.costs.pair_weight
+    ball_r2 = sc.sim.target_radius**2
+    lower, upper = np.array(sc.sim.domain, dtype=float).T.reshape(2, 2, 1)
+    obstacles = sc.obstacles
+    centers = np.array([ob.center for ob in obstacles], dtype=float).reshape(-1, 2, 1)
+    radii2 = np.array([ob.radius**2 for ob in obstacles]).reshape(-1, 1)
+    soft_costs = np.array([ob.soft_cost for ob in obstacles]).reshape(-1, 1)
+    n = sub.size
+    member_noise = sc.agent_dynamics().noise_cov
+    noise_scale = np.diag(member_noise).reshape(2, 1, 1)
+    noise_cov = np.kron(np.eye(n), member_noise)
+
+    def goal_d2(pos: np.ndarray) -> np.ndarray:
+        g = pos - target
+        g *= g
+        return g[0] + g[1]
+
+    def exits(pos: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        out = (pos <= lower) | (pos >= upper)
+        return (d2 <= ball_r2) | out[0] | out[1]
+
+    def sample(
+        x0: np.ndarray, dt: float, horizon: int, n_rollouts: int, stream: NoiseStream
+    ) -> RolloutBatch:
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if horizon < 1:
+            raise ValueError("horizon must be at least one step")
+        if n_rollouts < 1:
+            raise ValueError("need at least one rollout")
+        x0 = np.asarray(x0, dtype=float)
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("start state must be finite")
+        start = x0.reshape(n, UAV_DIM).T[:, :, None]
+        if bool(exits(start[:2, 0], goal_d2(start[:2, 0]))[0]):
+            raise ValueError("start state lies on the boundary")
+        dw = stream.generator().normal(
+            0.0, np.sqrt(dt), size=(horizon, n_rollouts, 2 * n)
+        )
+        state = np.repeat(start, n_rollouts, axis=2)
+        pos, v_phi = state[0:2], state[2:4]  # (x, y) and (v, phi) rows
+        pos0 = state[0:2, 0]  # the central agent's position, a view
+        d2 = goal_d2(pos0)
+        alive = np.ones(n_rollouts, dtype=bool)
+        mask = True  # where= of the in-place updates: the running paths
+        running = np.zeros(n_rollouts)
+        exit_steps = np.full(n_rollouts, horizon, dtype=int)
+        trig = np.empty((2, n, n_rollouts))
+        noise = np.empty((2, n, n_rollouts))
+        # In-place operations keep rollout_batch's operand order, so each
+        # value is rounded exactly as there.
+        for t in range(horizon):
+            q = np.sqrt(d2)
+            q -= d_max
+            q *= goal_weight
+            for block, d_pair in pair_blocks:
+                e = pos0 - pos[:, block]
+                e *= e
+                e = e[0] + e[1]
+                np.sqrt(e, out=e)
+                e -= d_pair
+                e *= pair_weight
+                q += e
+            np.maximum(q, 0.0, out=q)
+            if len(centers):
+                o = pos0 - centers
+                o *= o
+                terms = np.where(o[:, 0] + o[:, 1] < radii2, soft_costs, 0.0)
+                pen = terms[0]
+                for term in terms[1:]:
+                    pen = pen + term
+                q += pen
+            q *= dt
+            np.add(running, q, out=running, where=mask)
+            np.cos(v_phi[1], out=trig[0])
+            np.sin(v_phi[1], out=trig[1])
+            trig *= v_phi[0]
+            trig *= dt
+            np.add(pos, trig, out=pos, where=mask)
+            np.multiply(noise_scale, dw[t].reshape(n_rollouts, n, 2).T, out=noise)
+            np.add(v_phi, noise, out=v_phi, where=mask)
+            d2 = goal_d2(pos0)
+            hit = exits(pos0, d2)
+            hit &= alive
+            if np.any(hit):
+                exit_steps[hit] = t + 1
+                alive &= ~hit
+                mask = alive
+                if not np.any(alive):
+                    break
+        # A stopped path still holds its exit state; a box exit is clipped.
+        clip = ~alive & (d2 > ball_r2)
+        pos0[:, clip] = np.clip(pos0[:, clip], lower, upper)
+        exit_states = state.transpose(2, 1, 0).reshape(n_rollouts, n * UAV_DIM)
+        return RolloutBatch(
+            x0=x0,
+            dt=dt,
+            horizon=horizon,
+            noise_cov=noise_cov,
+            dw0=dw[0],
+            exit_states=exit_states,
+            exit_steps=exit_steps,
+            running_costs=running,
+            path_costs=running + np.asarray(final_cost(exit_states), dtype=float),
+        )
+
+    return sample
 
 
 def bundled_scenario_path(name: str) -> Path:

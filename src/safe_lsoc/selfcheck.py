@@ -2,7 +2,8 @@
 
 Each check rebuilds a reference answer by independent means (analytic
 halfspace projection, dense grid search, finite-difference PDE solve,
-hand-derived chain algebra) and compares the production code against it.
+hand-derived chain algebra, the generic rollout integrator) and compares
+the production code against it.
 The CLI validate subcommand runs fast variants; the acceptance tests run
 the same functions at full scale.
 """
@@ -10,6 +11,7 @@ the same functions at full scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +23,19 @@ from .lsoc import (
     rollout_batch,
 )
 from .hjb import GridSpec, grid_hjb_oracle
-from .scenarios import Obstacle, disc_barriers, obstacle_discs, uav_dynamics
+from .mas import assemble_joint, build_subsystems
+from .scenarios import (
+    Obstacle,
+    bundled_scenario_path,
+    disc_barriers,
+    list_bundled_scenarios,
+    load_scenario,
+    obstacle_discs,
+    subsystem_final_cost,
+    subsystem_problem,
+    subsystem_rollouts,
+    uav_dynamics,
+)
 from .sde import ControlAffineDynamics, NoiseStream, SafetyInfeasible
 from .zcbf import (
     BarrierFunction,
@@ -36,6 +50,7 @@ __all__ = [
     "filter_projection_check",
     "pi_oracle_check",
     "chain_closed_form_check",
+    "rollout_kernel_check",
     "run_all_checks",
 ]
 
@@ -407,6 +422,118 @@ def chain_closed_form_check(
     )
 
 
+# Rollout kernel vs the generic rollout_batch ------------------------------------
+
+BATCH_ARRAYS = ("dw0", "exit_states", "exit_steps", "running_costs", "path_costs")
+
+
+def _exit_starts(sc, sub, targets, rng, n_starts: int) -> list[np.ndarray]:
+    """The joint start plus starts whose central agent can exit early.
+
+    Even starts put the central agent just outside its target ball facing
+    it; odd starts put it just inside an arena edge facing out.  Half of
+    them move at 2.5, so every path exits; the other half start at rest a
+    few thousandths away, so the speed noise decides whether and when each
+    path exits.  The other members are moved by a few length units.
+    """
+    (xlo, xhi), (ylo, yhi) = sc.sim.domain
+    joint = assemble_joint(sub, [a.start for a in sc.agents])
+    starts = [joint]
+    for k in range(n_starts):
+        x = joint.reshape(sub.size, 4).copy()
+        x[:, :2] += rng.normal(0.0, 2.0, size=(sub.size, 2))
+        moving = (k // 2) % 2 == 0
+        gap = rng.uniform(0.05, 1.0) if moving else rng.uniform(5e-4, 5e-3)
+        x[0, 2] = 2.5 if moving else 0.0
+        if k % 2 == 0:
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            dist = sc.sim.target_radius + gap
+            x[0, :2] = targets[sub.central] + dist * np.array([np.cos(ang), np.sin(ang)])
+            x[0, 3] = ang + np.pi
+        else:
+            edge = int(rng.integers(4))
+            x[0, :2] = np.clip(x[0, :2], [xlo + 1.0, ylo + 1.0], [xhi - 1.0, yhi - 1.0])
+            x[0, edge // 2] = (xhi, xlo, yhi, ylo)[edge] + (-gap, gap)[edge % 2]
+            x[0, 3] = (0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi)[edge]
+        starts.append(x.ravel())
+    return starts
+
+
+def rollout_kernel_check(n_starts: int = 8, seed: int = 13) -> CheckResult:
+    """Run-path rollout kernel vs the generic rollout_batch, array by array.
+
+    For every subsystem of every bundled scenario, subsystem_rollouts and
+    rollout_batch on subsystem_problem draw from the same stream at the
+    joint start and at n_starts starts that reach the target ball or the
+    arena box within the horizon (see _exit_starts).  The terminal cost is
+    the one the closed loop samples with.  Passes when all five batch
+    arrays are equal bit for bit, the batches cover subsystems of one, two
+    and three members, both exits occur, and some batch stops part of its
+    paths early while the rest run on.
+    """
+    rng = np.random.default_rng(seed)
+    stats = {f"max_diff_{attr}": 0.0 for attr in BATCH_ARRAYS}
+    stats.update(ball_exits=0.0, box_exits=0.0, mixed_batches=0.0)
+    batches: dict[int, int] = {}  # subsystem size -> batches compared
+    equal = True
+    for name in list_bundled_scenarios():
+        sc = load_scenario(bundled_scenario_path(name), name=name)
+        if sc.task.mode == "single":
+            targets = np.stack([a.target for a in sc.agents])
+            c = sc.costs
+            final = (targets, c.final_c, c.final_d, c.final_alpha)
+        else:
+            targets = sc.task.new_targets
+            comp = sc.task.components[0]
+            final = (comp.targets, comp.final_c, comp.final_d, comp.final_alpha)
+        dt, horizon, k_rollouts = sc.sim.dt, sc.pi.horizon_steps, sc.pi.rollouts
+        for sub in build_subsystems(sc.graph):
+            phi = subsystem_final_cost(sc, sub, *final)
+            kernel = subsystem_rollouts(sc, sub, targets, phi)
+            problem = subsystem_problem(sc, sub, targets, phi)
+            ball = problem.domain.parts[0]
+            for k, x0 in enumerate(_exit_starts(sc, sub, targets, rng, n_starts)):
+                got, want = (
+                    sampler(x0, dt, horizon, k_rollouts,
+                            NoiseStream(seed).child(5, sub.central, k))
+                    for sampler in (kernel, partial(rollout_batch, problem))
+                )
+                for attr in BATCH_ARRAYS:
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    equal = equal and np.array_equal(a, b)
+                    key = f"max_diff_{attr}"
+                    stats[key] = max(stats[key], float(np.max(np.abs(a - b))))
+                exited = want.exit_steps < horizon
+                in_ball = ball.boundary_mask(want.exit_states)
+                stats["ball_exits"] += int(np.sum(exited & in_ball))
+                stats["box_exits"] += int(np.sum(exited & ~in_ball))
+                stats["mixed_batches"] += int(0 < np.sum(exited) < k_rollouts)
+                batches[sub.size] = batches.get(sub.size, 0) + 1
+
+    stats.update({f"size{n}_batches": float(c) for n, c in batches.items()})
+    passed = (
+        equal
+        and {1, 2, 3} <= set(batches)
+        and stats["ball_exits"] > 0
+        and stats["box_exits"] > 0
+        and stats["mixed_batches"] > 0
+    )
+    largest = max(stats[f"max_diff_{attr}"] for attr in BATCH_ARRAYS)
+    return CheckResult(
+        name="rollout_kernel",
+        passed=passed,
+        detail=(
+            f"largest difference {largest:.2e} over {sum(batches.values())} "
+            f"batches (subsystem sizes {sorted(batches)}), "
+            f"{stats['ball_exits']:.0f} target-ball "
+            f"and {stats['box_exits']:.0f} arena-box exits, "
+            f"{stats['mixed_batches']:.0f} batches with both exited and "
+            "running paths"
+        ),
+        stats=stats,
+    )
+
+
 def run_all_checks(fast: bool = True) -> list[CheckResult]:
     """The validate suite; fast trims sample counts to a few seconds."""
     if fast:
@@ -415,9 +542,11 @@ def run_all_checks(fast: bool = True) -> list[CheckResult]:
             pi_oracle_check(k_rollouts=3000, n_probe=4, z_probes=2,
                             horizon=800),
             chain_closed_form_check(n_states=40, grad_states=5),
+            rollout_kernel_check(n_starts=4),
         ]
     return [
         filter_projection_check(),
         pi_oracle_check(),
         chain_closed_form_check(),
+        rollout_kernel_check(),
     ]

@@ -432,3 +432,18 @@ def test_filtered_single_uav_seed_5003_stays_outside_discs(bundled):
     sc = bundled("single_uav")
     res = run_task(sc, seed=5003, mode="filtered")
     assert compute_metrics(res, sc)["safety_violation_count"] == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the continuous-time barrier condition does not survive the noisy "
+        "Euler step: filtered single_uav seed 5004 puts 88 states inside "
+        "a keep-out disc (minimum centre distance 3.9788 against a keep-out "
+        "radius of 4.0)"
+    ),
+)
+def test_filtered_single_uav_seed_5004_stays_outside_discs(bundled):
+    sc = bundled("single_uav")
+    res = run_task(sc, seed=5004, mode="filtered")
+    assert compute_metrics(res, sc)["safety_violation_count"] == 0

@@ -24,11 +24,13 @@ from safe_lsoc.scenarios import (
     running_cost_coop,
     subsystem_final_cost,
     subsystem_problem,
+    subsystem_rollouts,
     subsystem_running_cost,
     uav_drift,
     uav_dynamics,
 )
-from safe_lsoc.sde import ControlAffineDynamics
+from safe_lsoc.sde import ControlAffineDynamics, NoiseStream
+from safe_lsoc.selfcheck import BATCH_ARRAYS, rollout_kernel_check
 from safe_lsoc.zcbf import (
     BarrierFunction,
     chain_lift,
@@ -298,11 +300,15 @@ class TestScenarioLoading:
             ("costs.coop_pairs", lambda d: d["costs"].update(coop_pairs=[5])),
             ("sim.seeds[0]", lambda d: d["sim"].update(seeds=[True])),
             ("obstacles[0].radius", lambda d: d["obstacles"][0].update(radius="big")),
+            (
+                "sim.domain[0][1]",
+                lambda d: d["sim"].update(domain=[[-5.0, float("nan")], [-5.0, 20.0]]),
+            ),
         ],
         ids=[
             "rollouts_string", "rollouts_fraction", "dt_string", "start_string",
             "obstacles_number", "edge_number", "coop_pair_number", "seed_boolean",
-            "radius_string",
+            "radius_string", "domain_nan",
         ],
     )
     def test_malformed_field_rejected_with_its_path(
@@ -468,3 +474,45 @@ class TestSubsystemPlumbing:
         np.testing.assert_allclose(phi(x), expected, rtol=1e-12)
         prob = subsystem_problem(tiny_composite, sub, comp.targets, phi)
         np.testing.assert_allclose(prob.final_cost(x), expected, rtol=1e-12)
+
+
+class TestRolloutKernel:
+    def test_matches_generic_rollouts_bit_for_bit(self):
+        check = rollout_kernel_check()
+        assert check.passed, check.detail
+        for attr in BATCH_ARRAYS:
+            assert check.stats[f"max_diff_{attr}"] == 0.0
+        for size in (1, 2, 3):
+            assert check.stats[f"size{size}_batches"] > 0
+        assert check.stats["ball_exits"] > 0
+        assert check.stats["box_exits"] > 0
+        assert check.stats["mixed_batches"] > 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dt": 0.0},
+            {"horizon": 0},
+            {"n_rollouts": 0},
+            {"x0": [np.nan, 10.0, 2.5, 0.0]},
+            {"x0": [15.0, 10.0, 2.5, 0.0]},  # on the target ball
+            {"x0": [-5.0, 10.0, 2.5, 0.0]},  # on the arena box
+        ],
+        ids=["dt", "horizon", "rollouts", "nan_start", "ball_start", "box_start"],
+    )
+    def test_argument_validation(self, tiny_scenario, bad):
+        sub = build_subsystems(tiny_scenario.graph)[0]
+        targets = np.array([a.target for a in tiny_scenario.agents])
+        c = tiny_scenario.costs
+        phi = subsystem_final_cost(
+            tiny_scenario, sub, targets, c.final_c, c.final_d, c.final_alpha
+        )
+        sample = subsystem_rollouts(tiny_scenario, sub, targets, phi)
+        args = {"x0": tiny_scenario.agents[0].start, "dt": 0.05, "horizon": 5,
+                "n_rollouts": 4}
+        args.update(bad)
+        with pytest.raises(ValueError):
+            sample(
+                np.asarray(args["x0"], dtype=float), args["dt"], args["horizon"],
+                args["n_rollouts"], NoiseStream(0),
+            )
