@@ -40,13 +40,10 @@ from .lsoc import (
     BallBoundary,
     BoxBoundary,
     ControlEstimate,
-    DesirabilityUnderflow,
     FirstExitDomain,
     LsocProblem,
     RolloutBatch,
     UnionDomain,
-    estimate_desirability,
-    estimate_log_desirability,
     estimate_optimal_control,
     rollout_batch,
 )
@@ -55,7 +52,6 @@ from .mas import (
     FactorialSubsystem,
     assemble_joint,
     build_subsystems,
-    extract_local_control,
     joint_dynamics,
 )
 from .scenarios import (
@@ -82,8 +78,6 @@ from .sde import (
     SimulationError,
     Trajectory,
     em_step,
-    sample_increments,
-    validate_lambda_condition,
 )
 from .zcbf import (
     BarrierFunction,
@@ -103,7 +97,6 @@ __all__ = [
     "CompositionWeights",
     "ControlAffineDynamics",
     "ControlEstimate",
-    "DesirabilityUnderflow",
     "EXIT_INFEASIBLE",
     "EXIT_MAX_TIME",
     "EXIT_TARGET",
@@ -132,11 +125,8 @@ __all__ = [
     "detect_relative_degree",
     "disc_barriers",
     "em_step",
-    "estimate_desirability",
-    "estimate_log_desirability",
     "estimate_optimal_control",
     "export_run",
-    "extract_local_control",
     "final_cost",
     "joint_dynamics",
     "list_bundled_scenarios",
@@ -150,11 +140,9 @@ __all__ = [
     "run_task",
     "running_cost_coop",
     "safety_filter",
-    "sample_increments",
     "state_weights",
     "uav_drift",
     "uav_dynamics",
-    "validate_lambda_condition",
     "write_metrics_json",
     "write_sweep_csv",
     "write_trajectories_csv",

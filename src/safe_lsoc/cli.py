@@ -61,8 +61,8 @@ def _parse_margins(raw: str) -> list[float]:
         margins = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ScenarioError(f"--margins: {exc}") from exc
-    if not margins or any(m < 0 for m in margins):
-        raise ScenarioError("--margins: expected comma-separated numbers >= 0")
+    if not margins or not all(0 <= m < float("inf") for m in margins):
+        raise ScenarioError("--margins: expected comma-separated finite numbers >= 0")
     return margins
 
 
@@ -103,6 +103,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
+    if args.best_of < 1:
+        raise ScenarioError("--best-of: expected an integer >= 1")
     sc = _resolve_scenario(args.scenario)
     results = run_seeds(
         sc, _parse_seeds(args.seeds, sc), mode=args.mode,

@@ -35,7 +35,6 @@ class CompositionWeights:
 
     raw: np.ndarray
     normalized: np.ndarray
-    kernel: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -77,7 +76,7 @@ def composition_weights(
     m = np.max(log_raw)
     shifted = np.exp(log_raw - m)
     normalized = shifted / np.sum(shifted)
-    return CompositionWeights(raw=raw, normalized=normalized, kernel=p_kernel)
+    return CompositionWeights(raw=raw, normalized=normalized)
 
 
 def composite_final_cost(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .compose import composite_control, composition_weights, state_weights
 from .lsoc import estimate_optimal_control
-from .mas import assemble_joint, build_subsystems, extract_local_control
+from .mas import assemble_joint, build_subsystems
 from .scenarios import (
     UAV_DIM,
     UAV_INPUTS,
@@ -47,7 +47,6 @@ from .sde import (
     SafetyInfeasible,
     Trajectory,
     em_step,
-    sample_increments,
 )
 from .zcbf import safety_filter
 
@@ -150,7 +149,7 @@ class _LoopState:
     def apply_controls(self, step: int, pending: dict[int, tuple]) -> None:
         dt = self.sc.sim.dt
         for i, (u_raw, u, ess, w) in pending.items():
-            dw = sample_increments(self.sim_gens[i], UAV_INPUTS, dt)
+            dw = self.sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
             self.x[i] = em_step(self.dyn, self.x[i], u, dt, dw)
             self.times[i].append((step + 1) * dt)
             self.states[i].append(self.x[i].copy())
@@ -339,9 +338,8 @@ def _run_closed_loop(
                 for phi in comp_final[i][1:]
             ]
             ests = [estimate_optimal_control(b, lam) for b in scored]
-            u_components = [
-                extract_local_control(est.control, sub, UAV_INPUTS) for est in ests
-            ]
+            # Block 0 is the central agent, the only block it applies.
+            u_components = [est.control[:UAV_INPUTS] for est in ests]
             w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
             if filtered:
                 _, a_mat, b_vec = loop.barriers[i]
@@ -544,7 +542,7 @@ def export_run(result: RunResult, sc: Scenario, out_dir: str | Path) -> dict:
 
 
 def metrics_from_trajectory_csv(path: str | Path, sc: Scenario) -> dict:
-    """Recompute the position-derived metrics straight from the CSV."""
+    """Export oracle: the position-derived metrics, recomputed from the CSV."""
     rows_by_agent: dict[int, list[dict]] = {}
     with Path(path).open(newline="") as fh:
         for row in csv.DictReader(fh):

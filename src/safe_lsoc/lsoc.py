@@ -2,19 +2,23 @@
 
 The exponential transform Z = exp(-V/lambda) turns the HJB equation of a
 control-affine problem with quadratic control cost into a linear PDE when the
-noise covariance and control penalty are tied by sigma sigma^T = lambda R^{-1}.
-Z(x) is then an expectation over passive dynamics (u = 0),
+noise covariance and control penalty are tied by sigma sigma^T = lambda R^{-1}
+(R is implied, never formed).  Z(x) is then an expectation over passive
+dynamics (u = 0),
 
     Z(x) = E[ exp(-S/lambda) ],   S = phi(x_exit) + sum q(x_t) dt,
 
 and the optimal control is read off the first-step noise of the same rollouts:
 
     u* = (sum_k w_k sigma dw0_k) / (dt sum_k w_k),   w_k = exp(-S_k/lambda).
+
+One estimator, estimate_optimal_control, returns the control and log Z;
+callers read Z as exp(log_desirability).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,10 +33,7 @@ __all__ = [
     "LsocProblem",
     "RolloutBatch",
     "ControlEstimate",
-    "DesirabilityUnderflow",
     "rollout_batch",
-    "estimate_desirability",
-    "estimate_log_desirability",
     "estimate_optimal_control",
 ]
 
@@ -128,8 +129,8 @@ class LsocProblem:
     """First-exit stochastic control problem in linearly-solvable form.
 
     running_cost and final_cost must be vectorized over leading state axes.
-    The control penalty R = lam (sigma sigma^T)^{-1} is derived from the
-    noise, so the lambda condition holds by construction.
+    The control penalty is implied by the noise, R = lam (sigma sigma^T)^{-1},
+    so the lambda condition holds by construction.
     """
 
     dynamics: ControlAffineDynamics
@@ -137,13 +138,10 @@ class LsocProblem:
     final_cost: Callable[[np.ndarray], np.ndarray]
     domain: FirstExitDomain
     lam: float = 1.0
-    control_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-        sigma = self.dynamics.noise_cov
-        self.control_weight = self.lam * np.linalg.inv(sigma @ sigma.T)
 
 
 @dataclass
@@ -154,9 +152,7 @@ class RolloutBatch:
     the first-step Brownian increments used for control extraction.
     """
 
-    x0: np.ndarray
     dt: float
-    horizon: int
     noise_cov: np.ndarray
     dw0: np.ndarray
     exit_states: np.ndarray
@@ -230,9 +226,7 @@ def rollout_batch(
 
     path_costs = running + np.asarray(problem.final_cost(exit_states), dtype=float)
     return RolloutBatch(
-        x0=x0,
         dt=dt,
-        horizon=horizon,
         noise_cov=sigma,
         dw0=dw[0],
         exit_states=exit_states,
@@ -240,38 +234,6 @@ def rollout_batch(
         running_costs=running,
         path_costs=path_costs,
     )
-
-
-class DesirabilityUnderflow(ValueError):
-    """Every rollout weight exp(-S/lambda) underflowed to zero."""
-
-    def __init__(self, max_log_weight: float):
-        super().__init__(
-            f"desirability underflow: max log weight {max_log_weight:.1f}"
-        )
-        self.max_log_weight = max_log_weight
-
-
-def _log_weights(batch: RolloutBatch, lam: float) -> np.ndarray:
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return -batch.path_costs / lam
-
-
-def estimate_log_desirability(batch: RolloutBatch, lam: float) -> float:
-    """log Z = logsumexp(-S/lambda) - log K; immune to weight underflow."""
-    lw = _log_weights(batch, lam)
-    m = float(np.max(lw))
-    return m + float(np.log(np.mean(np.exp(lw - m))))
-
-
-def estimate_desirability(batch: RolloutBatch, lam: float) -> float:
-    """Z = mean exp(-S/lambda), accumulated in the log domain."""
-    lw = _log_weights(batch, lam)
-    m = float(np.max(lw))
-    if np.exp(m) == 0.0:
-        raise DesirabilityUnderflow(m)
-    return float(np.exp(m) * np.mean(np.exp(lw - m)))
 
 
 @dataclass
@@ -282,19 +244,18 @@ class ControlEstimate:
     effective_sample_size: float
     log_desirability: float
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the weights collapsed onto fewer than two rollouts."""
-        return self.effective_sample_size < 2.0
-
 
 def estimate_optimal_control(batch: RolloutBatch, lam: float) -> ControlEstimate:
     """u = sigma . (weighted mean of first-step noise) / dt, dt the batch's step.
 
     Weights are the normalized path weights softmax(-S/lambda); the reduction
     runs in rollout-index order so results are bitwise reproducible.
+    log Z = max(-S/lambda) + log mean exp(-S/lambda - max) stays finite when
+    every weight exp(-S/lambda) underflows.
     """
-    lw = _log_weights(batch, lam)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    lw = -batch.path_costs / lam
     m = float(np.max(lw))
     w = np.exp(lw - m)
     total = float(np.sum(w))

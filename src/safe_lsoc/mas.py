@@ -21,7 +21,6 @@ __all__ = [
     "build_subsystems",
     "assemble_joint",
     "joint_dynamics",
-    "extract_local_control",
 ]
 
 
@@ -53,9 +52,6 @@ class AgentGraph:
 
     def neighbors(self, i: int) -> list[int]:
         return sorted(j for e in self.edges if i in e for j in e if j != i)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -122,12 +118,3 @@ def joint_dynamics(dyn: ControlAffineDynamics, n_members: int) -> ControlAffineD
         noise_cov=np.kron(np.eye(n_members), dyn.noise_cov),
     )
 
-
-def extract_local_control(
-    joint_u: np.ndarray, sub: FactorialSubsystem, input_dim: int
-) -> np.ndarray:
-    """Block-0 slice: the only block the central agent actually applies."""
-    joint_u = np.asarray(joint_u, dtype=float)
-    if joint_u.shape[-1] < input_dim:
-        raise ValueError("joint control shorter than one block")
-    return joint_u[..., :input_dim]

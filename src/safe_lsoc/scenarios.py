@@ -85,12 +85,13 @@ class Obstacle:
     soft_cost: float = 160.0
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("obstacle radius must be positive")
-        if self.margin < 0:
-            raise ValueError("obstacle margin must be non-negative")
-        if self.soft_cost < 0:
-            raise ValueError("obstacle soft cost must be non-negative")
+        # The comparisons are false for NaN, so NaN fails each test.
+        if not 0 < self.radius < math.inf:
+            raise ValueError("obstacle radius must be positive and finite")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError("obstacle margin must be non-negative and finite")
+        if not 0 <= self.soft_cost < math.inf:
+            raise ValueError("obstacle soft cost must be non-negative and finite")
 
     @property
     def keepout_radius(self) -> float:
@@ -208,32 +209,33 @@ class AgentSpec:
     target: np.ndarray
 
 
+# Only load_scenario builds these three; it holds their defaults.
 @dataclass(frozen=True)
 class CostParams:
-    goal_weight: float = 1.0
-    pair_weight: float = 0.0
-    coop_pairs: tuple[tuple[int, int], ...] = ()
-    final_c: float = 0.0
-    final_d: float = 2.0
-    final_alpha: float = 0.0
+    goal_weight: float
+    pair_weight: float
+    coop_pairs: tuple[tuple[int, int], ...]
+    final_c: float
+    final_d: float
+    final_alpha: float
 
 
 @dataclass(frozen=True)
 class PiParams:
-    rollouts: int = 2000
-    horizon_steps: int = 60
-    temperature: float = 1.0
-    sigma: float = 0.05
-    nu: float = 0.025
+    rollouts: int
+    horizon_steps: int
+    temperature: float
+    sigma: float
+    nu: float
 
 
 @dataclass(frozen=True)
 class SimParams:
-    dt: float = 0.05
-    max_time: float = 30.0
-    seeds: tuple[int, ...] = (0,)
-    target_radius: float = 1.0
-    domain: tuple[tuple[float, float], tuple[float, float]] = ((-5.0, 45.0), (-5.0, 40.0))
+    dt: float
+    max_time: float
+    seeds: tuple[int, ...]
+    target_radius: float
+    domain: tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -272,11 +274,6 @@ class Scenario:
 
     def agent_dynamics(self) -> ControlAffineDynamics:
         return uav_dynamics(self.pi.sigma, self.pi.nu)
-
-    def control_weight(self) -> np.ndarray:
-        """R derived from the lambda condition: R = lam (sigma sigma^T)^{-1}."""
-        sigma = np.diag([self.pi.sigma, self.pi.nu])
-        return self.pi.temperature * np.linalg.inv(sigma @ sigma.T)
 
 
 def _require_keys(
@@ -806,9 +803,7 @@ def subsystem_rollouts(
         pos0[:, clip] = np.clip(pos0[:, clip], lower, upper)
         exit_states = state.transpose(2, 1, 0).reshape(n_rollouts, n * UAV_DIM)
         return RolloutBatch(
-            x0=x0,
             dt=dt,
-            horizon=horizon,
             noise_cov=noise_cov,
             dw0=dw[0],
             exit_states=exit_states,

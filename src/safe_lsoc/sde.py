@@ -21,9 +21,7 @@ __all__ = [
     "derive_stream_id",
     "KIND_SIM",
     "KIND_ROLLOUT",
-    "sample_increments",
     "em_step",
-    "validate_lambda_condition",
 ]
 
 EXIT_TARGET = "target_reached"
@@ -115,28 +113,6 @@ class NoiseStream:
         return NoiseStream(self.seed, derive_stream_id(kind, agent, step))
 
 
-def sample_increments(
-    stream: NoiseStream | np.random.Generator,
-    dim: int,
-    dt: float,
-    count: int | None = None,
-) -> np.ndarray:
-    """Draw Brownian increments ~ N(0, dt I_dim).
-
-    Returns shape (dim,) or (count, dim). Passing a NoiseStream advances it;
-    dt = 0 is a degenerate case (returns zeros without consuming draws).
-    """
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if dt < 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    shape = (dim,) if count is None else (count, dim)
-    if dt == 0.0:
-        return np.zeros(shape)
-    gen = stream.generator() if isinstance(stream, NoiseStream) else stream
-    return gen.normal(0.0, np.sqrt(dt), size=shape)
-
-
 def em_step(
     dyn: ControlAffineDynamics,
     x: np.ndarray,
@@ -183,26 +159,3 @@ class SafetyInfeasible(RuntimeError):
         super().__init__(message)
         self.constraint_ids = tuple(constraint_ids)
 
-
-def validate_lambda_condition(
-    R: np.ndarray,
-    sigma: np.ndarray,
-    lam: float,
-    tol: float = 1e-9,
-) -> bool:
-    """Check sigma sigma^T = lambda R^{-1} entrywise within tol.
-
-    This ties the control penalty to the noise covariance; the linear-form
-    optimal control is valid only when it holds.
-    """
-    R = np.asarray(R, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError("R must be square")
-    try:
-        r_inv = np.linalg.inv(R)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("R must be invertible") from exc
-    return bool(np.max(np.abs(sigma @ sigma.T - lam * r_inv)) <= tol)

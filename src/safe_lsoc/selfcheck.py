@@ -18,7 +18,6 @@ import numpy as np
 from .lsoc import (
     BoxBoundary,
     LsocProblem,
-    estimate_desirability,
     estimate_optimal_control,
     rollout_batch,
 )
@@ -260,10 +259,12 @@ def pi_oracle_check(
 
     Z is compared at z_probes interior states per dimension (relative error
     gate 0.10 at 10^4 rollouts); control direction must match the grid's
-    sign at n_probe states with decisive controls. The two estimators want
-    opposite step sizes: discrete exit detection overshoots the boundary by
-    O(sqrt(dt)) and biases Z low, while the control estimate's variance
-    grows like 1/dt, so Z probes integrate at z_dt and sign probes at dt.
+    sign at n_probe states with decisive controls. Z is exp of the
+    log_desirability of estimate_optimal_control, the value the composite
+    weights read. The two probes want opposite step sizes: discrete exit
+    detection overshoots the boundary by O(sqrt(dt)) and biases Z low, while
+    the control estimate's variance grows like 1/dt, so Z probes integrate
+    at z_dt and sign probes at dt.
     """
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
@@ -299,7 +300,8 @@ def pi_oracle_check(
                 z_batch = rollout_batch(
                     problem, x, z_dt, z_horizon, k_rollouts, z_stream
                 )
-                z_pi = estimate_desirability(z_batch, problem.lam)
+                z_est = estimate_optimal_control(z_batch, problem.lam)
+                z_pi = float(np.exp(z_est.log_desirability))
                 z_ref = sol.z_at(x)
                 worst_rel = max(worst_rel, abs(z_pi - z_ref) / abs(z_ref))
 

@@ -127,6 +127,11 @@ class TestComposeCommand:
         assert code == cli.EXIT_OK
         assert (out_dir / "tc_filtered_seed0_trajectories.csv").is_file()
 
+    def test_compose_rejects_best_of_zero(self, composite_path, capsys):
+        code = cli.main(["compose", str(composite_path), "--best-of", "0"])
+        assert code == cli.EXIT_INVALID
+        assert "error: --best-of" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tiny_path, tmp_path, capsys):
@@ -143,9 +148,10 @@ class TestSweepCommand:
         assert "margin 0.00" in out
 
     def test_bad_margins(self, tiny_path, capsys):
-        code = cli.main(["sweep", str(tiny_path), "--margins", "1.0,-2"])
-        assert code == cli.EXIT_INVALID
-        assert "--margins" in capsys.readouterr().err
+        for margins in ("1.0,-2", "nan", "inf", "0.5,-inf"):
+            code = cli.main(["sweep", str(tiny_path), "--margins", margins])
+            assert code == cli.EXIT_INVALID, margins
+            assert "error: --margins" in capsys.readouterr().err
 
 
 @dataclass

@@ -24,13 +24,23 @@ from safe_lsoc.harness import (
     write_sweep_csv,
     write_trajectories_csv,
 )
-from safe_lsoc.scenarios import ScenarioError
+from safe_lsoc.lsoc import estimate_optimal_control
+from safe_lsoc.mas import assemble_joint, build_subsystems
+from safe_lsoc.scenarios import (
+    ScenarioError,
+    subsystem_final_cost,
+    subsystem_rollouts,
+)
 from safe_lsoc.sde import (
     EXIT_INFEASIBLE,
     EXIT_MAX_TIME,
     EXIT_TARGET,
+    KIND_ROLLOUT,
+    KIND_SIM,
+    NoiseStream,
     SafetyInfeasible,
     Trajectory,
+    em_step,
 )
 
 from conftest import tiny_composite_dict, tiny_scenario_dict
@@ -116,6 +126,27 @@ class TestRunTask:
         assert traj.exit_reason == EXIT_MAX_TIME
         assert traj.times[-1] < sc.sim.max_time - sc.sim.dt / 2.0
         assert traj.states[-1][0] < -4.5
+
+
+class TestStepRebuild:
+    def test_states_rebuild_from_em_step_and_sim_streams(self, pair_scenario):
+        # Each agent's states follow from its applied controls and its own
+        # KIND_SIM stream, one N(0, dt I) pair per step in step order.
+        sc = pair_scenario
+        res = run_task(sc, seed=0, mode="baseline")
+        dyn = sc.agent_dynamics()
+        dt = sc.sim.dt
+        for i, rec in enumerate(res.agents):
+            traj = rec.trajectory
+            assert len(traj.controls) > 0
+            gen = NoiseStream(0).child(KIND_SIM, i, 0).generator()
+            x = np.array(sc.agents[i].start, dtype=float)
+            np.testing.assert_array_equal(traj.states[0], x)
+            for k, u in enumerate(traj.controls):
+                dw = gen.normal(0.0, np.sqrt(dt), size=2)
+                x = em_step(dyn, x, u, dt, dw)
+                np.testing.assert_array_equal(traj.states[k + 1], x)
+                assert traj.times[k + 1] == (k + 1) * dt
 
 
 class TestRunSeeds:
@@ -345,6 +376,28 @@ class TestRunGeneralization:
 
 class TestRawControlContract:
     """The recorded raw control is what the filter saw for the applied one."""
+
+    def test_raw_control_is_block_zero_of_joint_estimate(self, pair_scenario):
+        # Agent 0's step-0 estimate over its two-member subsystem, built by
+        # hand from the sampler and the estimator the loop uses.
+        sc = pair_scenario
+        res = run_task(sc, seed=0, mode="filtered")
+        sub = build_subsystems(sc.graph)[0]
+        targets = np.stack([a.target for a in sc.agents])
+        c = sc.costs
+        final = subsystem_final_cost(
+            sc, sub, targets, c.final_c, c.final_d, c.final_alpha
+        )
+        batch = subsystem_rollouts(sc, sub, targets, final)(
+            assemble_joint(sub, [a.start for a in sc.agents]),
+            sc.sim.dt,
+            sc.pi.horizon_steps,
+            sc.pi.rollouts,
+            NoiseStream(0).child(KIND_ROLLOUT, 0, 0),
+        )
+        joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
+        assert joint_u.shape == (4,)
+        np.testing.assert_array_equal(res.agents[0].raw_controls[0], joint_u[:2])
 
     def test_single_task_records_unfiltered_estimate(self, tiny_scenario):
         res = run_task(tiny_scenario, seed=0, mode="filtered")

@@ -11,16 +11,13 @@ from safe_lsoc.hjb import GridSpec, grid_hjb_oracle
 from safe_lsoc.lsoc import (
     BallBoundary,
     BoxBoundary,
-    DesirabilityUnderflow,
     LsocProblem,
     RolloutBatch,
     UnionDomain,
-    estimate_desirability,
-    estimate_log_desirability,
     estimate_optimal_control,
     rollout_batch,
 )
-from safe_lsoc.sde import ControlAffineDynamics, NoiseStream, validate_lambda_condition
+from safe_lsoc.sde import ControlAffineDynamics, NoiseStream
 
 
 def line_problem(sigma: float = 0.5, q: float = 1.0, lam: float = 1.0) -> LsocProblem:
@@ -47,9 +44,7 @@ def synthetic_batch(path_costs, dw0=None, dt=0.01, sigma=0.6) -> RolloutBatch:
     if dw0 is None:
         dw0 = np.random.default_rng(0).normal(0.0, np.sqrt(dt), size=(k, 1))
     return RolloutBatch(
-        x0=np.zeros(1),
         dt=dt,
-        horizon=10,
         noise_cov=np.array([[sigma]]),
         dw0=np.asarray(dw0, dtype=float),
         exit_states=np.zeros((k, 1)),
@@ -96,12 +91,6 @@ class TestDomains:
 
 
 class TestProblemSetup:
-    def test_control_weight_derived_satisfies_lambda_condition(self):
-        p = line_problem(sigma=0.4, lam=0.8)
-        assert validate_lambda_condition(
-            p.control_weight, p.dynamics.noise_cov, 0.8
-        )
-
     def test_nonpositive_lambda_rejected(self):
         dyn = line_problem().dynamics
         with pytest.raises(ValueError):
@@ -128,7 +117,6 @@ class TestRolloutBatch:
         batch = rollout_batch(p, np.zeros(1), 0.02, 40, 64, NoiseStream(3))
         assert np.all(np.isfinite(batch.path_costs))
         assert batch.n_rollouts == 64
-        assert batch.horizon == 40
         assert batch.dt == 0.02
 
     def test_start_on_boundary_rejected(self):
@@ -173,6 +161,11 @@ class TestRolloutBatch:
             )
 
 
+def desirability(batch: RolloutBatch, lam: float) -> float:
+    """Z as the closed loop reads it: exp of the estimate's log Z."""
+    return float(np.exp(estimate_optimal_control(batch, lam).log_desirability))
+
+
 class TestDesirability:
     @given(
         costs=st.lists(
@@ -183,7 +176,7 @@ class TestDesirability:
     @settings(max_examples=80)
     def test_mean_of_exponentials_is_bracketed(self, costs, lam):
         batch = synthetic_batch(costs)
-        z = estimate_desirability(batch, lam)
+        z = desirability(batch, lam)
         lo = np.exp(-max(costs) / lam)
         hi = np.exp(-min(costs) / lam)
         assert lo * (1 - 1e-12) <= z <= hi * (1 + 1e-12)
@@ -200,30 +193,30 @@ class TestDesirability:
     def test_cost_shift_scales_z_and_preserves_control(self, costs, shift, lam):
         base = synthetic_batch(costs)
         shifted = synthetic_batch(np.asarray(costs) + shift, dw0=base.dw0)
-        z0 = estimate_desirability(base, lam)
-        z1 = estimate_desirability(shifted, lam)
+        z0 = desirability(base, lam)
+        z1 = desirability(shifted, lam)
         np.testing.assert_allclose(z1, z0 * np.exp(-shift / lam), rtol=1e-9)
-        u0 = estimate_optimal_control(base, lam).control
-        u1 = estimate_optimal_control(shifted, lam).control
-        np.testing.assert_allclose(u1, u0, rtol=1e-9, atol=1e-12)
-
-    def test_log_estimate_agrees(self):
-        batch = synthetic_batch([1.0, 2.0, 0.5, 4.0])
-        z = estimate_desirability(batch, 0.7)
+        est0 = estimate_optimal_control(base, lam)
+        est1 = estimate_optimal_control(shifted, lam)
         np.testing.assert_allclose(
-            estimate_log_desirability(batch, 0.7), np.log(z), rtol=1e-12
+            est1.log_desirability, est0.log_desirability - shift / lam,
+            rtol=1e-9, atol=1e-9,
         )
+        np.testing.assert_allclose(est1.control, est0.control, rtol=1e-9, atol=1e-12)
 
-    def test_underflow_raises(self):
-        batch = synthetic_batch([1e6, 2e6])
-        with pytest.raises(DesirabilityUnderflow):
-            estimate_desirability(batch, 1.0)
-        # The log-domain estimate survives the same batch.
-        assert np.isfinite(estimate_log_desirability(batch, 1.0))
+    def test_log_desirability_finite_when_every_weight_underflows(self):
+        costs = [1e6, 2e6]
+        batch = synthetic_batch(costs)
+        assert np.all(np.exp(-np.asarray(costs)) == 0.0)
+        est = estimate_optimal_control(batch, 1.0)
+        assert np.isfinite(est.log_desirability)
+        # The dominant path carries it: log Z = -S_min + log(1/K) + O(e^-1e6).
+        assert est.log_desirability == pytest.approx(-1e6 + np.log(0.5))
+        assert np.all(np.isfinite(est.control))
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
-            estimate_desirability(synthetic_batch([1.0]), 0.0)
+            estimate_optimal_control(synthetic_batch([1.0]), 0.0)
 
 
 class TestControlEstimate:
@@ -239,20 +232,12 @@ class TestControlEstimate:
         batch = synthetic_batch(np.full(50, 3.0))
         est = estimate_optimal_control(batch, 1.0)
         np.testing.assert_allclose(est.effective_sample_size, 50.0, rtol=1e-12)
-        assert not est.degenerate
 
     def test_ess_collapse_flags_degenerate(self):
         batch = synthetic_batch([0.0, 1000.0, 1000.0])
         est = estimate_optimal_control(batch, 1.0)
         np.testing.assert_allclose(est.effective_sample_size, 1.0, rtol=1e-9)
-        assert est.degenerate
-
-    def test_log_desirability_matches_standalone(self):
-        batch = synthetic_batch([0.5, 1.5, 2.5])
-        est = estimate_optimal_control(batch, 0.9)
-        np.testing.assert_allclose(
-            est.log_desirability, estimate_log_desirability(batch, 0.9), rtol=1e-12
-        )
+        assert est.effective_sample_size < 2.0
 
 
 class TestGridOracle:

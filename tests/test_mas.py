@@ -10,10 +10,10 @@ from safe_lsoc.mas import (
     FactorialSubsystem,
     assemble_joint,
     build_subsystems,
-    extract_local_control,
     joint_dynamics,
 )
-from safe_lsoc.scenarios import uav_dynamics
+from safe_lsoc.lsoc import RolloutBatch, estimate_optimal_control
+from safe_lsoc.scenarios import UAV_INPUTS, uav_dynamics
 
 
 class TestAgentGraph:
@@ -21,7 +21,6 @@ class TestAgentGraph:
         g1 = AgentGraph.from_edge_list(3, [[0, 1], [2, 1]])
         g2 = AgentGraph.from_edge_list(3, [[1, 0], [1, 2]])
         assert g1.edges == g2.edges
-        assert g1.edge_list() == [(0, 1), (1, 2)]
 
     def test_neighbors_sorted_and_symmetric(self):
         g = AgentGraph.from_edge_list(4, [[2, 0], [0, 1]])
@@ -121,18 +120,44 @@ class TestJointDynamics:
 
 
 class TestExtractLocalControl:
+    """The loop applies est.control[:UAV_INPUTS], block 0 of the joint control."""
+
     def test_block_zero_slice(self):
+        # The central agent sits in block 0, whose states only the first
+        # UAV_INPUTS joint inputs drive.
+        single = uav_dynamics()
+        joint = joint_dynamics(single, 2)
         sub = FactorialSubsystem(central=0, members=(0, 1))
+        assert sub.block(sub.central) == 0
         u = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(extract_local_control(u, sub, 2), [1.0, 2.0])
+        np.testing.assert_array_equal(u[:UAV_INPUTS], [1.0, 2.0])
+        np.testing.assert_array_equal(
+            (joint.control_matrix @ u)[:4], single.control_matrix @ u[:UAV_INPUTS]
+        )
 
     def test_batch_slice(self):
-        sub = FactorialSubsystem(central=0, members=(0, 1))
-        u = np.arange(8.0).reshape(2, 4)
-        out = extract_local_control(u, sub, 2)
-        np.testing.assert_array_equal(out, [[0.0, 1.0], [4.0, 5.0]])
+        # Block 0 of the joint estimate is the single-agent estimate from the
+        # first UAV_INPUTS columns of the joint first-step noise.
+        single = uav_dynamics()
+        joint = joint_dynamics(single, 2)
+        dw0 = np.arange(8.0).reshape(2, 4)
+        np.testing.assert_array_equal(dw0[:, :UAV_INPUTS], [[0.0, 1.0], [4.0, 5.0]])
+        costs = np.array([1.0, 1.5])
 
-    def test_short_vector_rejected(self):
-        sub = FactorialSubsystem(central=0, members=(0,))
-        with pytest.raises(ValueError):
-            extract_local_control(np.array([1.0]), sub, 2)
+        def batch(dyn, dw):
+            return RolloutBatch(
+                dt=0.1,
+                noise_cov=dyn.noise_cov,
+                dw0=dw,
+                exit_states=np.zeros((2, dyn.state_dim)),
+                exit_steps=np.ones(2, dtype=int),
+                running_costs=costs,
+                path_costs=costs,
+            )
+
+        u_joint = estimate_optimal_control(batch(joint, dw0), 0.7).control
+        u_local = estimate_optimal_control(
+            batch(single, dw0[:, :UAV_INPUTS]), 0.7
+        ).control
+        assert u_joint.shape == (4,)
+        np.testing.assert_allclose(u_joint[:UAV_INPUTS], u_local, rtol=1e-14, atol=0)

@@ -94,6 +94,10 @@ class TestObstacle:
             Obstacle(center=(0.0, 0.0), radius=1.0, margin=-0.5)
         with pytest.raises(ValueError):
             Obstacle(center=(0.0, 0.0), radius=1.0, margin=0.0, soft_cost=-1.0)
+        for bad in ({"radius": np.inf}, {"margin": np.nan}, {"soft_cost": np.nan}):
+            args = {"radius": 1.0, "margin": 0.0, **bad}
+            with pytest.raises(ValueError, match="finite"):
+                Obstacle(center=(0.0, 0.0), **args)
 
     def test_chain_has_relative_degree_one(self):
         ob = Obstacle(center=(5.0, 5.0), radius=2.0, margin=1.0)
@@ -405,13 +409,6 @@ class TestScenarioLoading:
         data = tiny_composite_dict()
         sc = write_scenario(data)
         assert sc.task.components[0].targets.shape == (1, 2)
-
-    def test_control_weight_from_lambda_condition(self, tiny_scenario):
-        r = tiny_scenario.control_weight()
-        sigma = np.diag([0.05, 0.025])
-        np.testing.assert_allclose(
-            r, 0.02 * np.linalg.inv(sigma @ sigma), rtol=1e-12
-        )
 
 
 class TestSubsystemPlumbing:

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from safe_lsoc.sde import (
     EXIT_MAX_TIME,
+    KIND_SIM,
     ControlAffineDynamics,
     NoiseStream,
     SimulationError,
     Trajectory,
     derive_stream_id,
     em_step,
-    sample_increments,
-    validate_lambda_condition,
 )
+from safe_lsoc.scenarios import UAV_INPUTS, uav_dynamics
 
 
 def double_integrator() -> ControlAffineDynamics:
@@ -79,28 +79,30 @@ class TestNoiseStream:
 
 
 class TestSampleIncrements:
+    """The loop's Brownian increments: one N(0, dt I) draw of UAV_INPUTS
+    values per step from the agent's KIND_SIM stream."""
+
     def test_variance_matches_dt(self):
         # One percent at a million samples.
         dt = 0.05
-        draws = sample_increments(NoiseStream(11), 1, dt, count=1_000_000)
+        gen = NoiseStream(11).child(KIND_SIM, 0, 0).generator()
+        draws = gen.normal(0.0, np.sqrt(dt), size=(500_000, UAV_INPUTS))
         assert abs(np.var(draws) - dt) < 0.01 * dt
 
-    def test_zero_dt_consumes_nothing(self):
-        s = NoiseStream(5)
-        zeros = sample_increments(s, 3, 0.0)
-        np.testing.assert_array_equal(zeros, np.zeros(3))
-        after = sample_increments(s, 3, 0.1)
-        fresh = sample_increments(NoiseStream(5), 3, 0.1)
-        np.testing.assert_array_equal(after, fresh)
-
     def test_shapes(self):
-        assert sample_increments(NoiseStream(0), 2, 0.1).shape == (2,)
-        assert sample_increments(NoiseStream(0), 2, 0.1, count=7).shape == (7, 2)
-
-    @pytest.mark.parametrize("dim,dt", [(0, 0.1), (-1, 0.1), (2, -0.5)])
-    def test_bad_arguments(self, dim, dt):
-        with pytest.raises(ValueError):
-            sample_increments(NoiseStream(0), dim, dt)
+        # Per-step draws match the input dimension and chain into one
+        # (steps, UAV_INPUTS) draw, so the variance above is the loop's.
+        assert uav_dynamics().input_dim == UAV_INPUTS
+        gen = NoiseStream(0).child(KIND_SIM, 1, 0).generator()
+        steps = [gen.normal(0.0, np.sqrt(0.1), size=UAV_INPUTS) for _ in range(7)]
+        assert all(s.shape == (UAV_INPUTS,) for s in steps)
+        bulk = (
+            NoiseStream(0)
+            .child(KIND_SIM, 1, 0)
+            .generator()
+            .normal(0.0, np.sqrt(0.1), size=(7, UAV_INPUTS))
+        )
+        np.testing.assert_array_equal(np.stack(steps), bulk)
 
 
 class TestEmStep:
@@ -178,23 +180,3 @@ class TestDynamicsValidation:
             dyn = build()
             assert dyn.noise_cov.shape == (n, n)
             assert dyn.control_matrix.shape == (2, n)
-
-
-class TestLambdaCondition:
-    def test_derived_weight_passes(self):
-        sigma = np.diag([0.05, 0.025])
-        lam = 0.7
-        r = lam * np.linalg.inv(sigma @ sigma.T)
-        assert validate_lambda_condition(r, sigma, lam)
-
-    def test_mismatch_fails(self):
-        sigma = np.diag([0.05, 0.025])
-        assert not validate_lambda_condition(np.eye(2), sigma, 1.0)
-
-    def test_singular_r_rejected(self):
-        with pytest.raises(ValueError):
-            validate_lambda_condition(np.zeros((2, 2)), np.eye(2), 1.0)
-
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            validate_lambda_condition(np.eye(2), np.eye(2), 0.0)
