@@ -66,6 +66,17 @@ def _parse_margins(raw: str) -> list[float]:
     return margins
 
 
+def _out_dir(raw: str | None) -> Path | None:
+    """Create the --out directory before any run starts."""
+    if not raw:
+        return None
+    try:
+        Path(raw).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out: {exc}") from exc
+    return Path(raw)
+
+
 def _summarize(metrics: dict) -> str:
     err = ", ".join(f"{e:.2f}" for e in metrics["terminal_position_error"])
     dists = ", ".join(f"{d:.2f}" for d in metrics["min_center_distance"])
@@ -79,7 +90,7 @@ def _summarize(metrics: dict) -> str:
     )
 
 
-def _report_runs(results: list[RunResult], sc: Scenario, out: str | None) -> int:
+def _report_runs(results: list[RunResult], sc: Scenario, out: Path | None) -> int:
     """Export or summarize each run; EXIT_UNSAFE if any halted infeasible."""
     code = EXIT_OK
     for res in results:
@@ -98,25 +109,28 @@ def _report_runs(results: list[RunResult], sc: Scenario, out: str | None) -> int
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sc = _resolve_scenario(args.scenario)
-    results = run_seeds(sc, _parse_seeds(args.seeds, sc), mode=args.mode)
-    return _report_runs(results, sc, args.out)
+    seeds = _parse_seeds(args.seeds, sc)
+    out = _out_dir(args.out)
+    return _report_runs(run_seeds(sc, seeds, mode=args.mode), sc, out)
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     if args.best_of < 1:
         raise ScenarioError("--best-of: expected an integer >= 1")
     sc = _resolve_scenario(args.scenario)
+    seeds = _parse_seeds(args.seeds, sc)
+    out = _out_dir(args.out)
     results = run_seeds(
-        sc, _parse_seeds(args.seeds, sc), mode=args.mode,
-        runner=run_generalization, best_of=args.best_of,
+        sc, seeds, mode=args.mode, runner=run_generalization, best_of=args.best_of,
     )
-    return _report_runs(results, sc, args.out)
+    return _report_runs(results, sc, out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sc = _resolve_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds, sc)
     margins = _parse_margins(args.margins)
+    out = _out_dir(args.out)
     rows = margin_sweep(sc, margins, seeds)
     for row in rows:
         status = "clear" if row.cleared else "short"
@@ -125,9 +139,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"obstacle {row.obstacle} min_dist={row.min_center_distance:.3f} "
             f"threshold={row.threshold:.2f} {status}"
         )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         write_sweep_csv(rows, out / f"{sc.name}_margin_sweep.csv")
     return EXIT_OK
 

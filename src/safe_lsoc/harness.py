@@ -22,17 +22,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compose import composite_control, composition_weights, state_weights
+from .compose import composite_control, state_weights
 from .lsoc import estimate_optimal_control
 from .mas import assemble_joint, build_subsystems
 from .scenarios import (
     UAV_DIM,
     UAV_INPUTS,
-    ComponentSpec,
     Scenario,
     ScenarioError,
     disc_barriers,
     obstacle_discs,
+    subsystem_composition_weights,
     subsystem_final_cost,
     subsystem_rollouts,
     validate_physics,
@@ -174,7 +174,7 @@ class _LoopState:
             if f is None:
                 self.finished[i] = EXIT_INFEASIBLE
 
-    def finalize(self, scenario_name: str, mode: str, seed: int) -> RunResult:
+    def finalize(self, mode: str, seed: int) -> RunResult:
         def controls(rows: list[np.ndarray]) -> np.ndarray:
             return np.asarray(rows) if rows else np.zeros((0, UAV_INPUTS))
 
@@ -199,7 +199,7 @@ class _LoopState:
                 )
             )
         return RunResult(
-            scenario=scenario_name,
+            scenario=self.sc.name,
             mode=mode,
             seed=seed,
             agents=records,
@@ -209,12 +209,7 @@ class _LoopState:
         )
 
 
-def run_task(
-    sc: Scenario,
-    seed: int,
-    mode: str = MODE_FILTERED,
-    scenario_name: str | None = None,
-) -> RunResult:
+def run_task(sc: Scenario, seed: int, mode: str = MODE_FILTERED) -> RunResult:
     """Run every agent toward its own target under one noise seed.
 
     The task is the one-component case of the closed loop: controls come
@@ -225,10 +220,7 @@ def run_task(
     if sc.task.mode != "single":
         raise ScenarioError("run_task requires a scenario with task.mode single")
     _check_mode(mode)
-    targets = np.stack([a.target for a in sc.agents])
-    c = sc.costs
-    task = ComponentSpec("task", targets, c.final_c, c.final_d, c.final_alpha)
-    return _run_closed_loop(sc, seed, mode, scenario_name, targets, [task])
+    return _run_closed_loop(sc, seed, mode)
 
 
 def run_generalization(
@@ -236,7 +228,6 @@ def run_generalization(
     seed: int,
     mode: str = MODE_FILTERED,
     best_of: int = 1,
-    scenario_name: str | None = None,
 ) -> RunResult:
     """Steer toward a new target by mixing the component-task controllers.
 
@@ -254,10 +245,7 @@ def run_generalization(
     best_err = np.inf
     for attempt in range(best_of):
         attempt_seed = seed if attempt == 0 else seed + 1_000_003 * attempt
-        res = _run_closed_loop(
-            sc, attempt_seed, mode, scenario_name,
-            sc.task.new_targets, sc.task.components,
-        )
+        res = _run_closed_loop(sc, attempt_seed, mode)
         err = sum(
             float(np.linalg.norm(rec.trajectory.states[-1][:2] - res.task_targets[i]))
             for i, rec in enumerate(res.agents)
@@ -267,26 +255,21 @@ def run_generalization(
     return best
 
 
-def _run_closed_loop(
-    sc: Scenario,
-    seed: int,
-    mode: str,
-    scenario_name: str | None,
-    targets: np.ndarray,
-    components: Sequence[ComponentSpec],
-) -> RunResult:
-    """Drive every agent toward targets with a mix of the components' controls.
+def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
+    """Drive every agent toward the run's targets with a mix of component controls.
 
-    Each agent draws one rollout batch per step under the first component's
-    terminal cost; that component uses the batch's own path costs and every
-    other component re-scores the batch with its terminal cost.  A lone
-    component's raw control is the unfiltered estimate.  Several
-    components are each pre-filtered, so their convex mixture under the
-    kernel and desirability weights is already feasible; the mixture then
-    passes the filter once.  Component weights are recorded for composite
-    scenarios only.
+    The targets and components come from sc.task_view().  Each agent draws
+    one rollout batch per step under the first component's terminal cost;
+    that component uses the batch's own path costs and every other
+    component re-scores the batch with its terminal cost.  A lone
+    component's raw control is the unfiltered estimate.  Several components
+    are each pre-filtered, so their convex mixture under the kernel and
+    desirability weights is already feasible; the mixture then passes the
+    filter once.  Component weights are recorded for composite scenarios
+    only.
     """
     t0 = time.perf_counter()
+    targets, components = sc.task_view()
     loop = _LoopState(sc, seed, targets)
     lam = sc.pi.temperature
     dt = sc.sim.dt
@@ -300,21 +283,10 @@ def _run_closed_loop(
     comp_final = []
     mix_weights = []
     for sub in loop.subsystems:
-        finals = [
-            subsystem_final_cost(
-                sc, sub, comp.targets, comp.final_c, comp.final_d, comp.final_alpha
-            )
-            for comp in components
-        ]
-        comp_joint_targets = [
-            _joint_target_state(comp.targets, sub.members) for comp in components
-        ]
-        new_joint_target = _joint_target_state(targets, sub.members)
-        kernel = _position_kernel(sub.size, sc.task.kernel_width)
-        weights = composition_weights(comp_joint_targets, new_joint_target, kernel)
+        finals = [subsystem_final_cost(sc, sub, comp) for comp in components]
         samplers.append(subsystem_rollouts(sc, sub, targets, finals[0]))
         comp_final.append(finals)
-        mix_weights.append(weights)
+        mix_weights.append(subsystem_composition_weights(sc, sub))
 
     for step in range(max_steps):
         active = loop.active_agents()
@@ -361,22 +333,9 @@ def _run_closed_loop(
             break
         loop.apply_controls(step, pending)
 
-    result = loop.finalize(scenario_name or sc.name, mode, seed)
+    result = loop.finalize(mode, seed)
     result.wall_time = time.perf_counter() - t0
     return result
-
-
-def _joint_target_state(targets: np.ndarray, members) -> np.ndarray:
-    blocks = []
-    for m in members:
-        blocks.append(np.array([targets[m][0], targets[m][1], 0.0, 0.0]))
-    return np.concatenate(blocks)
-
-
-def _position_kernel(n_members: int, width: float) -> np.ndarray:
-    """Diagonal similarity metric: positions weighted, v and phi inert."""
-    diag = np.tile([width, width, 1e-8, 1e-8], n_members)
-    return np.diag(diag)
 
 
 def _check_mode(mode: str) -> None:
@@ -489,11 +448,11 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def trajectory_header(n_obstacles: int, n_levels: int = 2) -> list[str]:
+def trajectory_header(n_obstacles: int) -> list[str]:
+    """Columns of the trajectory CSV; each disc has the levels h0 and h1."""
     cols = ["t", "agent", "x", "y", "v", "phi", "u1", "u2"]
     for j in range(n_obstacles):
-        for lvl in range(n_levels):
-            cols.append(f"h{lvl}_obs{j}")
+        cols += [f"h0_obs{j}", f"h1_obs{j}"]
     return cols
 
 
@@ -501,8 +460,7 @@ def write_trajectories_csv(result: RunResult, path: str | Path) -> Path:
     """Byte-deterministic trajectory table, time-major then agent order."""
     path = Path(path)
     n_obs = result.agents[0].h_values.shape[1] if result.agents else 0
-    n_lvl = result.agents[0].h_values.shape[2] if n_obs else 2
-    header = trajectory_header(n_obs, n_lvl)
+    header = trajectory_header(n_obs)
     t_max = max((len(rec.trajectory.times) for rec in result.agents), default=0)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -551,16 +509,12 @@ def metrics_from_trajectory_csv(path: str | Path, sc: Scenario) -> dict:
     terminal_errors = []
     min_center = [np.inf] * n_obs
     violations = 0
-    # Single-task targets; composite CSVs are checked against new targets.
-    if sc.task.mode == "single":
-        targets = [a.target for a in sc.agents]
-    else:
-        targets = list(sc.task.new_targets)
+    targets, _ = sc.task_view()
     for agent in sorted(rows_by_agent):
         rows = rows_by_agent[agent]
         pos = np.array([[float(r["x"]), float(r["y"])] for r in rows])
         terminal_errors.append(
-            float(np.linalg.norm(pos[-1] - np.asarray(targets[agent])))
+            float(np.linalg.norm(pos[-1] - targets[agent]))
         )
         for j in range(n_obs):
             center = np.asarray(sc.obstacles[j].center)
@@ -601,7 +555,6 @@ def margin_sweep(
     sc: Scenario,
     margins: Sequence[float],
     seeds: Sequence[int] | None = None,
-    modes: Sequence[str] = (MODE_BASELINE, MODE_FILTERED),
 ) -> list[SweepRow]:
     """Re-run the scenario at each commanded margin, both control modes."""
     if sc.task.mode != "single":
@@ -614,7 +567,7 @@ def margin_sweep(
         )
         sc_m = dataclasses.replace(sc, obstacles=obstacles)
         validate_physics(sc_m)
-        for mode in modes:
+        for mode in (MODE_BASELINE, MODE_FILTERED):
             for res in run_seeds(sc_m, seeds, mode=mode):
                 metrics = compute_metrics(res, sc_m)
                 for j, ob in enumerate(sc_m.obstacles):

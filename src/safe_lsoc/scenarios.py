@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .compose import CompositionWeights, composition_weights
 from .lsoc import (
     BallBoundary,
     BoxBoundary,
@@ -26,7 +27,7 @@ from .lsoc import (
     RolloutBatch,
     UnionDomain,
 )
-from .mas import AgentGraph, FactorialSubsystem, joint_dynamics
+from .mas import AgentGraph, FactorialSubsystem, build_subsystems, joint_dynamics
 from .sde import ControlAffineDynamics, NoiseStream
 
 __all__ = [
@@ -240,7 +241,6 @@ class SimParams:
 
 @dataclass(frozen=True)
 class ComponentSpec:
-    task_id: str
     targets: np.ndarray  # (n_agents, 2)
     final_c: float
     final_d: float
@@ -274,6 +274,19 @@ class Scenario:
 
     def agent_dynamics(self) -> ControlAffineDynamics:
         return uav_dynamics(self.pi.sigma, self.pi.nu)
+
+    def task_view(self) -> tuple[np.ndarray, tuple[ComponentSpec, ...]]:
+        """The (n_agents, 2) targets a run steers toward, and its components.
+
+        A plain task is the one-component case: the agents' own targets under
+        the costs.final terminal cost.  The view is derived on each call, so
+        a scenario rebuilt with dataclasses.replace stays consistent.
+        """
+        if self.task.mode == "composite":
+            return self.task.new_targets, self.task.components
+        targets = np.stack([a.target for a in self.agents])
+        c = self.costs
+        return targets, (ComponentSpec(targets, c.final_c, c.final_d, c.final_alpha),)
 
 
 def _require_keys(
@@ -336,6 +349,7 @@ def _parse_component(
     entry: dict, index: int, n_agents: int, defaults: CostParams
 ) -> ComponentSpec:
     path = f"task.components[{index}]"
+    # "id" is a free-form label for the reader; nothing stores it.
     _require_keys(entry, path, ["targets"], ["id", "final"])
     targets = _parse_targets(entry["targets"], f"{path}.targets", n_agents)
     c, d, alpha = defaults.final_c, defaults.final_d, defaults.final_alpha
@@ -345,13 +359,7 @@ def _parse_component(
         c = _number(fin.get("c", c), f"{path}.final.c")
         d = _positive(fin.get("d", d), f"{path}.final.d")
         alpha = _number(fin.get("alpha", alpha), f"{path}.final.alpha")
-    return ComponentSpec(
-        task_id=str(entry.get("id", f"component_{index}")),
-        targets=targets,
-        final_c=c,
-        final_d=d,
-        final_alpha=alpha,
-    )
+    return ComponentSpec(targets=targets, final_c=c, final_d=d, final_alpha=alpha)
 
 
 def _parse_targets(value, path: str, n_agents: int) -> np.ndarray:
@@ -537,10 +545,10 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
 def validate_physics(sc: Scenario) -> None:
     """Reject setups the solver cannot honestly run."""
     (xlo, xhi), (ylo, yhi) = sc.sim.domain
+    targets, components = sc.task_view()
     all_targets = [a.target for a in sc.agents]
-    if sc.task.mode == "composite":
-        all_targets.extend(t for comp in sc.task.components for t in comp.targets)
-        all_targets.extend(sc.task.new_targets)
+    all_targets.extend(t for comp in components for t in comp.targets)
+    all_targets.extend(targets)
     for i, a in enumerate(sc.agents):
         px, py = a.start[0], a.start[1]
         if not (xlo < px < xhi and ylo < py < yhi):
@@ -563,6 +571,8 @@ def validate_physics(sc: Scenario) -> None:
                 raise ScenarioError(
                     f"agents[{i}] starts outside the safe set of obstacle {j}"
                 )
+    for sub in build_subsystems(sc.graph):
+        subsystem_composition_weights(sc, sub)
 
 
 # Scenario -> solver plumbing ------------------------------------------------
@@ -643,16 +653,10 @@ def subsystem_running_cost(
     return q
 
 
-def subsystem_final_cost(
-    sc: Scenario,
-    sub: FactorialSubsystem,
-    targets: np.ndarray,
-    c: float,
-    d: float,
-    alpha: float,
-):
-    """Sum of per-member final costs against the given agent targets."""
-    member_targets = np.asarray(targets, dtype=float)[list(sub.members)]
+def subsystem_final_cost(sc: Scenario, sub: FactorialSubsystem, comp: ComponentSpec):
+    """Sum of per-member final costs of one component task."""
+    member_targets = comp.targets[list(sub.members)]
+    c, d, alpha = comp.final_c, comp.final_d, comp.final_alpha
 
     def phi(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -663,6 +667,30 @@ def subsystem_final_cost(
         return total
 
     return phi
+
+
+def subsystem_composition_weights(
+    sc: Scenario, sub: FactorialSubsystem
+) -> CompositionWeights:
+    """Kernel weights of the components around the run's targets.
+
+    The distance is taken over the members' target positions, with the
+    kernel task.kernel_width * I.  A plain task's one component sits on the
+    run's targets and gets weight 1.
+    """
+    members = list(sub.members)
+    targets, components = sc.task_view()
+    new = targets[members].ravel()
+    try:
+        return composition_weights(
+            [comp.targets[members].ravel() for comp in components],
+            new,
+            sc.task.kernel_width * np.eye(new.size),
+        )
+    except ValueError as exc:
+        raise ScenarioError(
+            f"task.kernel_width: agent {sub.central}: {exc}"
+        ) from exc
 
 
 def subsystem_problem(

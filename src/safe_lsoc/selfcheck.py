@@ -480,17 +480,10 @@ def rollout_kernel_check(n_starts: int = 8, seed: int = 13) -> CheckResult:
     equal = True
     for name in list_bundled_scenarios():
         sc = load_scenario(bundled_scenario_path(name), name=name)
-        if sc.task.mode == "single":
-            targets = np.stack([a.target for a in sc.agents])
-            c = sc.costs
-            final = (targets, c.final_c, c.final_d, c.final_alpha)
-        else:
-            targets = sc.task.new_targets
-            comp = sc.task.components[0]
-            final = (comp.targets, comp.final_c, comp.final_d, comp.final_alpha)
+        targets, components = sc.task_view()
         dt, horizon, k_rollouts = sc.sim.dt, sc.pi.horizon_steps, sc.pi.rollouts
         for sub in build_subsystems(sc.graph):
-            phi = subsystem_final_cost(sc, sub, *final)
+            phi = subsystem_final_cost(sc, sub, components[0])
             kernel = subsystem_rollouts(sc, sub, targets, phi)
             problem = subsystem_problem(sc, sub, targets, phi)
             ball = problem.domain.parts[0]

@@ -182,14 +182,12 @@ def constraint_coeffs(
     return a, b
 
 
+# Slack below which a half-space or a multiplier still counts as satisfied.
 _FEAS_TOL = 1e-9
 
 
 def safety_filter(
-    u_star: np.ndarray,
-    a_mat: np.ndarray,
-    b_vec: np.ndarray,
-    tol: float = _FEAS_TOL,
+    u_star: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray
 ) -> np.ndarray:
     """Euclidean projection of u_star onto the half-spaces a_mat u >= b_vec.
 
@@ -223,7 +221,7 @@ def safety_filter(
         )
     keep = np.flatnonzero(~zero)
     a_mat, b_vec = a_mat[keep], b_vec[keep]
-    u = _project(u_star, a_mat, b_vec, tol)
+    u = _project(u_star, a_mat, b_vec)
     if u is not None:
         return u
 
@@ -233,7 +231,7 @@ def safety_filter(
     for size in range(2, min(p + 1, m) + 1):
         for subset in combinations(range(m), size):
             rows = list(subset)
-            if _project(np.zeros(p), a_mat[rows], b_vec[rows], tol) is None:
+            if _project(np.zeros(p), a_mat[rows], b_vec[rows]) is None:
                 raise SafetyInfeasible(
                     "barrier constraints have empty intersection",
                     tuple(int(keep[j]) for j in subset),
@@ -245,7 +243,7 @@ def safety_filter(
 
 
 def _project(
-    u: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray, tol: float
+    u: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray
 ) -> np.ndarray | None:
     """Closest point to u in {v : A v >= b}, or None when the set is empty.
 
@@ -253,7 +251,7 @@ def _project(
     always exists, so all candidate subsets are solved in closed form and the
     nearest KKT-consistent one wins.
     """
-    if np.all(a_mat @ u - b_vec >= -tol):
+    if np.all(a_mat @ u - b_vec >= -_FEAS_TOL):
         return u
     p = u.shape[0]
     m = a_mat.shape[0]
@@ -268,10 +266,10 @@ def _project(
                 mu = np.linalg.solve(gram, b_vec[list(subset)] - a_s @ u)
             except np.linalg.LinAlgError:
                 continue
-            if np.any(mu < -tol):
+            if np.any(mu < -_FEAS_TOL):
                 continue
             v = u + a_s.T @ mu
-            if np.all(a_mat @ v - b_vec >= -tol):
+            if np.all(a_mat @ v - b_vec >= -_FEAS_TOL):
                 d = float(np.linalg.norm(v - u))
                 if d < best_dist - 1e-15:
                     best, best_dist = v, d

@@ -154,6 +154,39 @@ class TestSweepCommand:
             assert "error: --margins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compose", "sweep"])
+def test_out_naming_a_file_fails_before_any_run(
+    command, tiny_path, composite_path, tmp_path, monkeypatch, capsys
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_seeds", no_run)
+    monkeypatch.setattr(cli, "margin_sweep", no_run)
+    path = composite_path if command == "compose" else tiny_path
+    code = cli.main([command, str(path), "--seeds", "0", "--out", str(taken)])
+    assert code == cli.EXIT_INVALID
+    assert "error: --out:" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "args", [["validate"], ["compose", "--seeds", "0"]], ids=["validate", "compose"]
+)
+def test_kernel_width_underflowing_every_weight_rejected(
+    args, scenario_path_factory, capsys
+):
+    data = tiny_composite_dict()
+    data["task"]["kernel_width"] = 1000.0
+    path = scenario_path_factory(data, "wide")
+    code = cli.main([args[0], str(path), *args[1:]])
+    assert code == cli.EXIT_INVALID
+    assert "error: task.kernel_width: agent 0" in capsys.readouterr().err
+
+
 @dataclass
 class FakeCheck:
     name: str

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -14,6 +16,16 @@ from safe_lsoc.compose import (
     composition_weights,
     state_weights,
 )
+from safe_lsoc.harness import run_generalization
+from safe_lsoc.lsoc import estimate_optimal_control
+from safe_lsoc.mas import assemble_joint, build_subsystems
+from safe_lsoc.scenarios import (
+    UAV_INPUTS,
+    subsystem_composition_weights,
+    subsystem_final_cost,
+    subsystem_rollouts,
+)
+from safe_lsoc.sde import KIND_ROLLOUT, NoiseStream
 
 
 def hull_distance(point: np.ndarray, vertices: np.ndarray) -> float:
@@ -223,3 +235,52 @@ class TestCompositeFinalCost:
             composite_final_cost(costs[:1], w)
         with pytest.raises(ValueError):
             composite_final_cost(costs, w, lam=0.0)
+
+
+class TestExactComposition:
+    """The mixed control is the direct estimate under the composite final cost."""
+
+    @pytest.mark.parametrize(
+        "name", ["two_target_composition", "five_uav_composition"]
+    )
+    def test_mixed_control_equals_estimate_under_composite_final_cost(
+        self, bundled, name
+    ):
+        # Under phi = -lam log sum_f w_f exp(-phi_f / lam) the desirability is
+        # the weighted sum of the component ones, so every raw control of a
+        # baseline run equals the estimate on its batch re-scored by phi.
+        sc = bundled(name)
+        res = run_generalization(sc, seed=0, mode="baseline")
+        targets, components = sc.task_view()
+        lam = sc.pi.temperature
+        worst, steps = 0.0, 0
+        for sub in build_subsystems(sc.graph):
+            finals = [subsystem_final_cost(sc, sub, comp) for comp in components]
+            phi = composite_final_cost(
+                finals, subsystem_composition_weights(sc, sub), lam
+            )
+            sample = subsystem_rollouts(sc, sub, targets, finals[0])
+            i = sub.central
+            for k, u_mix in enumerate(res.agents[i].raw_controls):
+                # A finished agent holds its last state.
+                states = [
+                    rec.trajectory.states[min(k, len(rec.trajectory.states) - 1)]
+                    for rec in res.agents
+                ]
+                batch = sample(
+                    assemble_joint(sub, states),
+                    sc.sim.dt,
+                    sc.pi.horizon_steps,
+                    sc.pi.rollouts,
+                    NoiseStream(0).child(KIND_ROLLOUT, i, k),
+                )
+                batch = dataclasses.replace(
+                    batch, path_costs=batch.running_costs + phi(batch.exit_states)
+                )
+                u = estimate_optimal_control(batch, lam).control[:UAV_INPUTS]
+                worst = max(
+                    worst, float(np.linalg.norm(u_mix - u) / np.linalg.norm(u))
+                )
+                steps += 1
+        assert steps == sum(len(rec.raw_controls) for rec in res.agents)
+        assert worst <= 1e-12

@@ -296,21 +296,25 @@ class TestMarginSweep:
             assert r.cleared == (r.min_center_distance >= r.threshold - 0.1)
 
     def test_zero_margin_threshold_is_plain_clearance(self, tiny_scenario):
-        rows = margin_sweep(tiny_scenario, [0.0], seeds=[0], modes=("filtered",))
-        assert rows[0].threshold == tiny_scenario.obstacles[0].radius
+        rows = margin_sweep(tiny_scenario, [0.0], seeds=[0])
+        assert [r.mode for r in rows] == ["baseline", "filtered"]
+        for r in rows:
+            assert r.threshold == tiny_scenario.obstacles[0].radius
 
     def test_composite_rejected(self, tiny_composite):
         with pytest.raises(ScenarioError, match="single-task"):
             margin_sweep(tiny_composite, [1.0], seeds=[0])
 
     def test_sweep_csv(self, tiny_scenario, tmp_path):
-        rows = margin_sweep(tiny_scenario, [1.0], seeds=[0], modes=("filtered",))
+        rows = margin_sweep(tiny_scenario, [1.0], seeds=[0])
         path = write_sweep_csv(rows, tmp_path / "sweep.csv")
         with path.open(newline="") as fh:
             parsed = list(csv.DictReader(fh))
-        assert len(parsed) == len(rows)
-        assert float(parsed[0]["min_center_distance"]) == rows[0].min_center_distance
-        assert parsed[0]["cleared"] in {"0", "1"}
+        assert len(parsed) == len(rows) == 2
+        for got, row in zip(parsed, rows):
+            assert got["mode"] == row.mode
+            assert float(got["min_center_distance"]) == row.min_center_distance
+            assert got["cleared"] == str(int(row.cleared))
 
 
 class TestRunGeneralization:
@@ -383,11 +387,8 @@ class TestRawControlContract:
         sc = pair_scenario
         res = run_task(sc, seed=0, mode="filtered")
         sub = build_subsystems(sc.graph)[0]
-        targets = np.stack([a.target for a in sc.agents])
-        c = sc.costs
-        final = subsystem_final_cost(
-            sc, sub, targets, c.final_c, c.final_d, c.final_alpha
-        )
+        targets, (task,) = sc.task_view()
+        final = subsystem_final_cost(sc, sub, task)
         batch = subsystem_rollouts(sc, sub, targets, final)(
             assemble_joint(sub, [a.start for a in sc.agents]),
             sc.sim.dt,

@@ -81,18 +81,6 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert (tmp_path / "tiny_filtered_seed0_trajectories.csv").is_file()
 
 
-# Oracles that nothing on the run path calls, kept public on purpose.
-ORACLE_EXPORTS = {
-    # The closed-form final cost whose desirability is the weighted sum of
-    # the component desirabilities; the composite loop mixes controls
-    # instead, and this is the reference the mixing approximates.
-    "composite_final_cost",
-    # Recomputes the position metrics from a written trajectory CSV, the
-    # oracle of the export.
-    "metrics_from_trajectory_csv",
-}
-
-
 def _program_files() -> list[Path]:
     files = sorted((ROOT / "src").rglob("*.py")) + sorted(
         (ROOT / "scripts").glob("*.py")
@@ -124,10 +112,24 @@ def _references_outside_definition(tree: ast.AST) -> set[str]:
 
 def test_every_export_is_used_by_the_program():
     # A public name that only the tests reach is dead code: src/, scripts/
-    # or the benchmark must read it, unless it is a listed oracle.
+    # or the benchmark must read it.
     used: set[str] = set()
     for path in _program_files():
         used |= _references_outside_definition(ast.parse(path.read_text()))
-    unused = sorted(set(safe_lsoc.__all__) - used - ORACLE_EXPORTS)
+    unused = sorted(set(safe_lsoc.__all__) - used)
     assert unused == []
-    assert ORACLE_EXPORTS <= set(safe_lsoc.__all__)
+
+
+def test_namespace_holds_the_run_path():
+    # Load, run, summarize, export, and the error loading raises; every
+    # other name, oracles included, is imported from its module.
+    assert sorted(safe_lsoc.__all__) == [
+        "ScenarioError",
+        "bundled_scenario_path",
+        "compute_metrics",
+        "export_run",
+        "load_scenario",
+        "run_generalization",
+        "run_seeds",
+        "run_task",
+    ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -22,6 +23,8 @@ from safe_lsoc.scenarios import (
     load_scenario,
     obstacle_discs,
     running_cost_coop,
+    TaskSpec,
+    subsystem_composition_weights,
     subsystem_final_cost,
     subsystem_problem,
     subsystem_rollouts,
@@ -261,7 +264,9 @@ class TestScenarioLoading:
     def test_tiny_composite_loads(self, tiny_composite):
         task = tiny_composite.task
         assert task.mode == "composite"
-        assert [c.task_id for c in task.components] == ["upper", "lower"]
+        assert [c.targets.tolist() for c in task.components] == [
+            [[14.0, 10.0]], [[14.0, 4.0]]
+        ]
         np.testing.assert_array_equal(task.new_targets, [[14.0, 7.0]])
 
     @pytest.mark.parametrize(
@@ -393,6 +398,14 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="keep-out"):
             write_scenario(data)
 
+    def test_kernel_width_underflowing_every_weight_rejected(self, write_scenario):
+        # Both components sit 3 from the new target: exp(-0.5 * 1000 * 9)
+        # underflows, so no component would carry any weight.
+        data = tiny_composite_dict()
+        data["task"]["kernel_width"] = 1000.0
+        with pytest.raises(ScenarioError, match=r"task\.kernel_width: agent 0"):
+            write_scenario(data)
+
     def test_nonpositive_dt_rejected(self, write_scenario):
         data = tiny_scenario_dict()
         data["sim"]["dt"] = 0.0
@@ -409,6 +422,40 @@ class TestScenarioLoading:
         data = tiny_composite_dict()
         sc = write_scenario(data)
         assert sc.task.components[0].targets.shape == (1, 2)
+
+
+class TestTaskView:
+    def test_plain_task_is_one_component_on_the_agents_targets(self, tiny_scenario):
+        targets, components = tiny_scenario.task_view()
+        np.testing.assert_array_equal(targets, [[15.0, 10.0]])
+        (comp,) = components
+        np.testing.assert_array_equal(comp.targets, targets)
+        c = tiny_scenario.costs
+        assert (comp.final_c, comp.final_d, comp.final_alpha) == (
+            c.final_c, c.final_d, c.final_alpha
+        )
+
+    def test_composite_view_is_new_targets_and_components(self, tiny_composite):
+        targets, components = tiny_composite.task_view()
+        assert targets is tiny_composite.task.new_targets
+        assert components is tiny_composite.task.components
+
+    def test_view_follows_a_replaced_task(self, tiny_composite):
+        single = dataclasses.replace(tiny_composite, task=TaskSpec(mode="single"))
+        targets, components = single.task_view()
+        np.testing.assert_array_equal(targets, [[14.0, 7.0]])
+        assert len(components) == 1
+
+    def test_weights_of_plain_and_bundled_composite_tasks(self, tiny_scenario, bundled):
+        sub = build_subsystems(tiny_scenario.graph)[0]
+        w = subsystem_composition_weights(tiny_scenario, sub)
+        assert w.normalized.tolist() == [1.0]
+        # The bundled new targets lie midway between their two components.
+        for name in ("two_target_composition", "five_uav_composition"):
+            sc = bundled(name)
+            for sub in build_subsystems(sc.graph):
+                w = subsystem_composition_weights(sc, sub)
+                assert w.normalized.tolist() == [0.5, 0.5]
 
 
 class TestSubsystemPlumbing:
@@ -438,11 +485,8 @@ class TestSubsystemPlumbing:
 
     def test_problem_assembly_respects_lambda(self, tiny_scenario):
         sub = build_subsystems(tiny_scenario.graph)[0]
-        targets = np.array([a.target for a in tiny_scenario.agents])
-        costs = tiny_scenario.costs
-        phi = subsystem_final_cost(
-            tiny_scenario, sub, targets, costs.final_c, costs.final_d, costs.final_alpha
-        )
+        targets, (task,) = tiny_scenario.task_view()
+        phi = subsystem_final_cost(tiny_scenario, sub, task)
         prob = subsystem_problem(tiny_scenario, sub, targets, phi)
         assert prob.final_cost is phi
         assert prob.lam == tiny_scenario.pi.temperature
@@ -456,14 +500,7 @@ class TestSubsystemPlumbing:
     def test_final_cost_params_override(self, tiny_composite):
         sub = build_subsystems(tiny_composite.graph)[0]
         comp = tiny_composite.task.components[0]
-        phi = subsystem_final_cost(
-            tiny_composite,
-            sub,
-            comp.targets,
-            comp.final_c,
-            comp.final_d,
-            comp.final_alpha,
-        )
+        phi = subsystem_final_cost(tiny_composite, sub, comp)
         x = np.array([14.0, 11.0, 2.5, 0.0])
         expected = final_cost(
             x, comp.targets[0], comp.final_c, comp.final_d, comp.final_alpha
@@ -499,11 +536,8 @@ class TestRolloutKernel:
     )
     def test_argument_validation(self, tiny_scenario, bad):
         sub = build_subsystems(tiny_scenario.graph)[0]
-        targets = np.array([a.target for a in tiny_scenario.agents])
-        c = tiny_scenario.costs
-        phi = subsystem_final_cost(
-            tiny_scenario, sub, targets, c.final_c, c.final_d, c.final_alpha
-        )
+        targets, (task,) = tiny_scenario.task_view()
+        phi = subsystem_final_cost(tiny_scenario, sub, task)
         sample = subsystem_rollouts(tiny_scenario, sub, targets, phi)
         args = {"x0": tiny_scenario.agents[0].start, "dt": 0.05, "horizon": 5,
                 "n_rollouts": 4}
