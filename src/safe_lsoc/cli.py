@@ -10,6 +10,7 @@ became infeasible.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 
@@ -90,11 +91,31 @@ def _summarize(metrics: dict) -> str:
     )
 
 
+def _total(runs: list[dict]) -> str:
+    """One closing line over the metrics of every seed."""
+    reached = [r for m in runs for r in m["reached"]]
+    errors = [e for m in runs for e in m["terminal_position_error"]]
+    dists = [d for m in runs for d in m["min_center_distance"]]
+    worst = f"{min(dists):.2f}" if dists else "none"
+    return (
+        f"total: seeds={len(runs)} reached={sum(reached)}/{len(reached)} "
+        f"violations={sum(m['safety_violation_count'] for m in runs)} "
+        f"filter_hits={sum(m['filter_activation_count'] for m in runs)} "
+        f"min_obstacle_dist={worst} "
+        f"median_terminal_err={statistics.median(errors):.2f}"
+    )
+
+
 def _report_runs(results: list[RunResult], sc: Scenario, out: Path | None) -> int:
-    """Export or summarize each run; EXIT_UNSAFE if any halted infeasible."""
+    """Summarize each run, exporting it under out, then print the total.
+
+    Returns EXIT_UNSAFE if any run halted infeasible.
+    """
     code = EXIT_OK
+    runs = []
     for res in results:
         metrics = export_run(res, sc, out) if out else compute_metrics(res, sc)
+        runs.append(metrics)
         print(_summarize(metrics))
         if res.halted_infeasible:
             ids = list(res.infeasible_constraints or ())
@@ -104,6 +125,7 @@ def _report_runs(results: list[RunResult], sc: Scenario, out: Path | None) -> in
                 file=sys.stderr,
             )
             code = EXIT_UNSAFE
+    print(_total(runs))
     return code
 
 
@@ -115,14 +137,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    if args.best_of < 1:
-        raise ScenarioError("--best-of: expected an integer >= 1")
     sc = _resolve_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds, sc)
     out = _out_dir(args.out)
-    results = run_seeds(
-        sc, seeds, mode=args.mode, runner=run_generalization, best_of=args.best_of,
-    )
+    results = run_seeds(sc, seeds, mode=args.mode, runner=run_generalization)
     return _report_runs(results, sc, out)
 
 
@@ -139,6 +157,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"obstacle {row.obstacle} min_dist={row.min_center_distance:.3f} "
             f"threshold={row.threshold:.2f} {status}"
         )
+    for mode in (MODE_BASELINE, MODE_FILTERED):
+        mode_rows = [row for row in rows if row.mode == mode]
+        short = sum(not row.cleared for row in mode_rows)
+        print(f"[{mode}] {short}/{len(mode_rows)} rows short")
     if out:
         write_sweep_csv(rows, out / f"{sc.name}_margin_sweep.csv")
     return EXIT_OK
@@ -192,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compose", help="generalize component tasks to a new target"
     )
     add_common(p_comp)
-    p_comp.add_argument(
-        "--best-of", type=int, default=1,
-        help="attempts per seed, keep the best terminal error",
-    )
     p_comp.set_defaults(func=_cmd_compose)
 
     p_sweep = sub.add_parser("sweep", help="margin sweep, both control modes")

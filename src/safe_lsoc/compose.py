@@ -33,12 +33,12 @@ _SUM_TOL = 1e-9
 class CompositionWeights:
     """Kernel weights of the component targets around a new target."""
 
-    raw: np.ndarray
     normalized: np.ndarray
+    log_normalized: np.ndarray  # log of normalized, finite where it underflows
 
     @property
     def n_components(self) -> int:
-        return self.raw.shape[0]
+        return len(self.normalized)
 
 
 def composition_weights(
@@ -49,7 +49,9 @@ def composition_weights(
     """Gaussian kernel distances from the new target to each component target.
 
     raw_f = exp(-0.5 (t_new - t_f)^T P (t_new - t_f)); normalized sums to one.
-    P must be diagonal positive definite, so raw weights lie in (0, 1].
+    P must be diagonal positive definite, so raw weights lie in (0, 1].  The
+    normalization runs in the log domain, so tiny weights keep their ratios
+    and log_normalized stays finite where normalized underflows.
     """
     new_target = np.asarray(new_target, dtype=float)
     p_kernel = np.asarray(p_kernel, dtype=float)
@@ -67,16 +69,17 @@ def composition_weights(
         if d.shape != (p_kernel.shape[0],):
             raise ValueError("target dimension does not match kernel")
         log_raw[f] = -0.5 * float(d @ p_kernel @ d)
-    raw = np.exp(log_raw)
-    if np.all(raw == 0.0):
+    m = np.max(log_raw)
+    if np.exp(m) == 0.0:
         raise ValueError(
             "new target outside kernel support: all raw weights underflowed"
         )
-    # Normalize via the log domain so tiny weights keep their ratios.
-    m = np.max(log_raw)
     shifted = np.exp(log_raw - m)
-    normalized = shifted / np.sum(shifted)
-    return CompositionWeights(raw=raw, normalized=normalized)
+    total = np.sum(shifted)
+    return CompositionWeights(
+        normalized=shifted / total,
+        log_normalized=log_raw - m - np.log(total),
+    )
 
 
 def composite_final_cost(
@@ -93,7 +96,7 @@ def composite_final_cost(
         raise ValueError("one final cost per component required")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    log_w = np.log(weights.normalized)
+    log_w = weights.log_normalized
 
     def phi(x: np.ndarray) -> np.ndarray:
         stacked = np.stack(
@@ -123,7 +126,7 @@ def state_weights(
         raise ValueError("one desirability estimate per component required")
     if np.any(np.isnan(log_z)) or np.any(log_z == np.inf):
         raise ValueError("log desirabilities must be finite or -inf")
-    score = np.log(weights.normalized) + log_z
+    score = weights.log_normalized + log_z
     m = np.max(score)
     if m == -np.inf:
         raise ValueError("all weight-desirability products vanished")

@@ -224,35 +224,15 @@ def run_task(sc: Scenario, seed: int, mode: str = MODE_FILTERED) -> RunResult:
 
 
 def run_generalization(
-    sc: Scenario,
-    seed: int,
-    mode: str = MODE_FILTERED,
-    best_of: int = 1,
+    sc: Scenario, seed: int, mode: str = MODE_FILTERED
 ) -> RunResult:
-    """Steer toward a new target by mixing the component-task controllers.
-
-    best_of > 1 repeats the run with derived seeds and keeps the attempt
-    with the smallest summed terminal error.
-    """
+    """Steer toward a new target by mixing the component-task controllers."""
     if sc.task.mode != "composite":
         raise ScenarioError(
             "run_generalization requires a scenario with task.mode composite"
         )
     _check_mode(mode)
-    if best_of < 1:
-        raise ValueError("best_of must be >= 1")
-    best: RunResult | None = None
-    best_err = np.inf
-    for attempt in range(best_of):
-        attempt_seed = seed if attempt == 0 else seed + 1_000_003 * attempt
-        res = _run_closed_loop(sc, attempt_seed, mode)
-        err = sum(
-            float(np.linalg.norm(rec.trajectory.states[-1][:2] - res.task_targets[i]))
-            for i, rec in enumerate(res.agents)
-        )
-        if best is None or err < best_err:
-            best, best_err = res, err
-    return best
+    return _run_closed_loop(sc, seed, mode)
 
 
 def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
@@ -348,10 +328,9 @@ def run_seeds(
     seeds: Sequence[int],
     mode: str = MODE_FILTERED,
     runner: Callable[..., RunResult] = run_task,
-    **kwargs,
 ) -> list[RunResult]:
     """Run several seeds one after another, in seed order."""
-    return [runner(sc, s, mode=mode, **kwargs) for s in seeds]
+    return [runner(sc, s, mode=mode) for s in seeds]
 
 
 # Metrics ---------------------------------------------------------------------

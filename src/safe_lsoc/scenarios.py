@@ -500,7 +500,7 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
     if mode not in ("single", "composite"):
         raise ScenarioError(f"task.mode: expected 'single' or 'composite', got {mode!r}")
     if mode == "single":
-        for key in ("components", "new_target"):
+        for key in ("components", "new_target", "kernel_width"):
             if key in task_raw:
                 raise ScenarioError(f"task.{key}: only valid in composite mode")
         task = TaskSpec(mode="single")

@@ -103,12 +103,7 @@ def _grid_projection(
     return pts[k], float(d[k])
 
 
-def filter_projection_check(
-    n_single: int = 600,
-    n_multi: int = 400,
-    grid_step: float = 0.01,
-    seed: int = 20260819,
-) -> CheckResult:
+def filter_projection_check(n_single: int = 600, n_multi: int = 400) -> CheckResult:
     """Filter output vs analytic projection (1 constraint) and grid search.
 
     Single-constraint instances have the closed form u + a (b - a.u)/|a|^2;
@@ -116,7 +111,8 @@ def filter_projection_check(
     the filter must be feasible and its deviation no worse than the best
     grid point, which itself is within one grid cell of the optimum.
     """
-    rng = np.random.default_rng(seed)
+    grid_step = 0.01
+    rng = np.random.default_rng(20260819)
     max_single_err = 0.0
     max_residual = 0.0
     max_grid_gap = -np.inf
@@ -249,11 +245,7 @@ def pi_oracle_check(
     k_rollouts: int = 10_000,
     n_probe: int = 20,
     z_probes: int = 5,
-    dims: tuple[int, ...] = (1, 2),
-    dt: float = 0.01,
     horizon: int = 1200,
-    z_dt: float = 0.002,
-    seed: int = 7,
 ) -> CheckResult:
     """Monte-Carlo desirability and control vs the finite-difference solve.
 
@@ -266,6 +258,7 @@ def pi_oracle_check(
     the control estimate's variance grows like 1/dt, so Z probes integrate
     at z_dt and sign probes at dt.
     """
+    dims, dt, z_dt, seed = (1, 2), 0.01, 0.002, 7
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     sign_hits = 0
@@ -327,9 +320,7 @@ def pi_oracle_check(
 # Barrier chain vs hand-derived algebra ------------------------------------------
 
 
-def chain_closed_form_check(
-    n_states: int = 100, grad_states: int = 10, seed: int = 11
-) -> CheckResult:
+def chain_closed_form_check(n_states: int = 100, grad_states: int = 10) -> CheckResult:
     """Lifted barrier vs the hand-derived lift for a disc under the vehicle.
 
     For h0 = (x-cx)^2 + (y-cy)^2 - rho^2 the lift is
@@ -343,7 +334,7 @@ def chain_closed_form_check(
     disc_barriers; each state also compares its (a, b) with the
     finite-difference constraint_coeffs of the lift.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     dyn = uav_dynamics(0.05, 0.025)
     obstacle = Obstacle(center=(20.0, 15.0), radius=3.0, margin=1.0)
     level0 = BarrierFunction.circle(obstacle.center, obstacle.radius, obstacle.margin)
@@ -461,7 +452,7 @@ def _exit_starts(sc, sub, targets, rng, n_starts: int) -> list[np.ndarray]:
     return starts
 
 
-def rollout_kernel_check(n_starts: int = 8, seed: int = 13) -> CheckResult:
+def rollout_kernel_check(n_starts: int = 8) -> CheckResult:
     """Run-path rollout kernel vs the generic rollout_batch, array by array.
 
     For every subsystem of every bundled scenario, subsystem_rollouts and
@@ -473,6 +464,7 @@ def rollout_kernel_check(n_starts: int = 8, seed: int = 13) -> CheckResult:
     and three members, both exits occur, and some batch stops part of its
     paths early while the rest run on.
     """
+    seed = 13
     rng = np.random.default_rng(seed)
     stats = {f"max_diff_{attr}": 0.0 for attr in BATCH_ARRAYS}
     stats.update(ball_exits=0.0, box_exits=0.0, mixed_batches=0.0)

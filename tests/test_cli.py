@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ class TestRunCommand:
         lines = [l for l in out.splitlines() if l.startswith("seed")]
         assert len(lines) == 2  # scenario declares seeds [0, 1]
         assert "[filtered]" in lines[0]
+        assert out.splitlines()[-1].startswith("total: seeds=2 reached=")
 
     def test_run_writes_outputs(self, tiny_path, tmp_path, capsys):
         out_dir = tmp_path / "results"
@@ -110,7 +112,9 @@ class TestComposeCommand:
     def test_compose_runs_composite(self, composite_path, capsys):
         code = cli.main(["compose", str(composite_path), "--seeds", "0"])
         assert code == cli.EXIT_OK
-        assert "seed   0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "seed   0" in out
+        assert out.splitlines()[-1].startswith("total: seeds=1 reached=")
 
     def test_compose_rejects_single_task(self, tiny_path, capsys):
         code = cli.main(["compose", str(tiny_path), "--seeds", "0"])
@@ -121,16 +125,11 @@ class TestComposeCommand:
         code = cli.main(
             [
                 "compose", str(composite_path),
-                "--seeds", "0", "--best-of", "1", "--out", str(out_dir),
+                "--seeds", "0", "--out", str(out_dir),
             ]
         )
         assert code == cli.EXIT_OK
         assert (out_dir / "tc_filtered_seed0_trajectories.csv").is_file()
-
-    def test_compose_rejects_best_of_zero(self, composite_path, capsys):
-        code = cli.main(["compose", str(composite_path), "--best-of", "0"])
-        assert code == cli.EXIT_INVALID
-        assert "error: --best-of" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -146,6 +145,9 @@ class TestSweepCommand:
         assert code == cli.EXIT_OK
         assert (out_dir / "tiny_margin_sweep.csv").is_file()
         assert "margin 0.00" in out
+        closing = out.splitlines()[-2:]
+        assert [line.split()[0] for line in closing] == ["[baseline]", "[filtered]"]
+        assert all(line.endswith("/1 rows short") for line in closing)
 
     def test_bad_margins(self, tiny_path, capsys):
         for margins in ("1.0,-2", "nan", "inf", "0.5,-inf"):
@@ -255,3 +257,22 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "compose" in proc.stdout
+
+
+def test_readme_commands_parse():
+    # Every command the README shows must still parse; nothing runs.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    in_code = False
+    commands = []
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_code = not in_code
+        elif in_code and line.startswith("safe-lsoc "):
+            commands.append(line.split("#")[0].split()[1:])
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: safe-lsoc {' '.join(argv)}")

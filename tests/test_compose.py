@@ -64,11 +64,16 @@ class TestCompositionWeights:
         w = make_weights(targets, (nx, ny))
         assert abs(float(np.sum(w.normalized)) - 1.0) <= 1e-12
         assert np.all(w.normalized >= 0.0)
-        assert np.all((w.raw > 0.0) & (w.raw <= 1.0))
+        assert np.all(np.isfinite(w.log_normalized) & (w.log_normalized <= 0.0))
+        np.testing.assert_allclose(
+            np.exp(w.log_normalized), w.normalized, rtol=1e-12, atol=0.0
+        )
 
     def test_exact_target_match_gets_unit_raw_weight(self):
+        # Raw weights are [1, exp(-0.5 * 0.02 * 14^2)] = [1, exp(-1.96)].
         w = make_weights([(35.0, 28.0), (35.0, 14.0)], (35.0, 28.0))
-        assert w.raw[0] == 1.0
+        assert w.log_normalized[0] == pytest.approx(-np.log1p(np.exp(-1.96)))
+        assert w.log_normalized[1] - w.log_normalized[0] == pytest.approx(-1.96)
         assert w.normalized[0] > w.normalized[1]
 
     def test_far_targets_keep_ratios_in_log_domain(self):
@@ -76,10 +81,14 @@ class TestCompositionWeights:
         # normalization must resolve the ratio in the log domain instead of
         # dividing vanishing floats.
         w = make_weights([(0.0, 38.5), (0.0, 42.0)], (0.0, 0.0), width=1.0)
-        assert 0.0 < w.raw[0] < 1e-300
-        assert w.raw[1] == 0.0
+        gap = 0.5 * (42.0**2 - 38.5**2)
+        assert w.log_normalized[1] - w.log_normalized[0] == pytest.approx(-gap)
         assert abs(float(np.sum(w.normalized)) - 1.0) <= 1e-12
         assert w.normalized[0] > 0.99
+        # A normalized weight that underflows keeps a finite log.
+        w = make_weights([(0.0, 0.0), (0.0, 50.0)], (0.0, 0.0), width=1.0)
+        assert w.normalized[1] == 0.0
+        assert w.log_normalized[1] == -1250.0
 
     def test_total_underflow_rejected(self):
         with pytest.raises(ValueError, match="kernel support"):

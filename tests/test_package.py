@@ -82,9 +82,7 @@ def test_run_path_imports_no_scipy(tmp_path):
 
 
 def _program_files() -> list[Path]:
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted(
-        (ROOT / "scripts").glob("*.py")
-    )
+    files = sorted((ROOT / "src").rglob("*.py"))
     files += [
         p for p in sorted((ROOT / "perfbench").glob("*.py"))
         if not p.name.startswith("test_")
@@ -111,8 +109,8 @@ def _references_outside_definition(tree: ast.AST) -> set[str]:
 
 
 def test_every_export_is_used_by_the_program():
-    # A public name that only the tests reach is dead code: src/, scripts/
-    # or the benchmark must read it.
+    # A public name that only the tests reach is dead code: src/ or the
+    # benchmark must read it.
     used: set[str] = set()
     for path in _program_files():
         used |= _references_outside_definition(ast.parse(path.read_text()))

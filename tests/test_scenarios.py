@@ -380,10 +380,21 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="target outside"):
             write_scenario(data)
 
-    def test_single_mode_rejects_composite_keys(self, write_scenario):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("components", [{"targets": [14.0, 7.0]}]),
+            ("new_target", [14.0, 7.0]),
+            ("kernel_width", 5.0),
+        ],
+        ids=["components", "new_target", "kernel_width"],
+    )
+    def test_single_mode_rejects_composite_keys(self, key, value, write_scenario):
         data = tiny_scenario_dict()
-        data["task"]["new_target"] = [14.0, 7.0]
-        with pytest.raises(ScenarioError, match="composite mode"):
+        data["task"][key] = value
+        with pytest.raises(
+            ScenarioError, match=f"task.{key}: only valid in composite mode"
+        ):
             write_scenario(data)
 
     def test_composite_requires_components(self, write_scenario):
