@@ -54,6 +54,9 @@ def _parse_seeds(raw: str | None, sc: Scenario) -> list[int]:
         raise ScenarioError(f"--seeds: {exc}") from exc
     if not seeds or any(s < 0 for s in seeds):
         raise ScenarioError("--seeds: expected comma-separated ints >= 0")
+    for k, s in enumerate(seeds):
+        if s in seeds[:k]:
+            raise ScenarioError(f"--seeds: seed {s} listed twice")
     return seeds
 
 

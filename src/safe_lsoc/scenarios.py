@@ -490,6 +490,9 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         target_radius=_positive(sim_raw.get("target_radius", 1.0), "sim.target_radius"),
         domain=((xlo, xhi), (ylo, yhi)),
     )
+    for k, s in enumerate(sim.seeds):
+        if s in sim.seeds[:k]:
+            raise ScenarioError(f"sim.seeds[{k}]: duplicate seed {s}")
 
     task_raw = raw["task"]
     _require_keys(

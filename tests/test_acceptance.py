@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from safe_lsoc import harness
 from safe_lsoc.compose import composite_control, composition_weights, state_weights
 from safe_lsoc.harness import (
     compute_metrics,
@@ -263,10 +264,10 @@ def test_criterion_9_export_determinism(tmp_path, monkeypatch):
     for name, runner, seeds in cases:
         sc = load_bundle(name)
         exports: dict[str, dict[int, bytes]] = {}
-        for threads in ("1", "3"):
-            monkeypatch.setenv("SAFE_LSOC_THREADS", threads)
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
             for attempt in ("a", "b"):
-                tag = f"{name}_t{threads}_{attempt}"
+                tag = f"{name}_w{workers}_{attempt}"
                 out = tmp_path / tag
                 out.mkdir()
                 blobs = {}
@@ -276,12 +277,12 @@ def test_criterion_9_export_determinism(tmp_path, monkeypatch):
                     )
                     blobs[res.seed] = p.read_bytes()
                 exports[tag] = blobs
-        for threads in ("1", "3"):
-            ok &= exports[f"{name}_t{threads}_a"] == exports[f"{name}_t{threads}_b"]
-        ok &= exports[f"{name}_t1_a"] == exports[f"{name}_t3_a"]
+        for workers in (1, 2):
+            ok &= exports[f"{name}_w{workers}_a"] == exports[f"{name}_w{workers}_b"]
+        ok &= exports[f"{name}_w1_a"] == exports[f"{name}_w2_a"]
     report(
         "criterion 9 determinism",
         ok,
-        "CSV bytes identical across repeat executions and thread counts",
+        "CSV bytes identical across repeat executions and worker counts",
     )
     assert ok

@@ -85,6 +85,22 @@ class TestRunCommand:
         assert code == cli.EXIT_INVALID
         assert "--seeds" in capsys.readouterr().err
 
+    def test_repeated_seed_rejected(self, tiny_path, capsys):
+        code = cli.main(["run", str(tiny_path), "--seeds", "2,0,2"])
+        assert code == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seeds: seed 2 listed twice\n"
+        assert captured.out == ""
+
+    def test_composite_rejected_inside_the_worker_pool(self, capfd):
+        # Two seeds run in worker processes, where run_task raises; the
+        # error still reaches the exit code, and no worker prints anything.
+        code = cli.main(["run", "two_target_composition", "--seeds", "0,1"])
+        assert code == cli.EXIT_INVALID
+        assert capfd.readouterr().err == (
+            "error: run_task requires a scenario with task.mode single\n"
+        )
+
     def test_infeasible_run_returns_unsafe_exit(
         self, tiny_path, monkeypatch, capsys
     ):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -155,6 +156,44 @@ class TestRunSeeds:
         singles = [run_task(tiny_scenario, s, mode="filtered") for s in (0, 1)]
         for got, want in zip(batch, singles):
             assert_same_run(got, want)
+
+    def test_pool_returns_seed_order_and_serial_runs(
+        self, tiny_scenario, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pooled = run_seeds(tiny_scenario, [1, 0], mode="filtered")
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        serial = run_seeds(tiny_scenario, [1, 0], mode="filtered")
+        assert [r.seed for r in pooled] == [1, 0]
+        for got, want in zip(pooled, serial):
+            assert_same_run(got, want)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_keeps_type_and_names_seed(
+        self, tiny_scenario, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+        def runner(sc, seed, mode):
+            if seed == 1:
+                raise ScenarioError("no run for this seed")
+            return run_task(sc, seed, mode=mode)
+
+        with pytest.raises(ScenarioError, match="no run for this seed") as exc:
+            run_seeds(tiny_scenario, [0, 1, 2], runner=runner)
+        assert exc.value.__notes__ == ["seed 1"]
+        assert multiprocessing.active_children() == []
+
+    def test_one_seed_runs_in_this_process(self, tiny_scenario, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        calls = []
+
+        def runner(sc, seed, mode):
+            calls.append(seed)
+            return run_task(sc, seed, mode=mode)
+
+        (res,) = run_seeds(tiny_scenario, [1], runner=runner)
+        assert calls == [1] and res.seed == 1
 
 
 def synthetic_result(sc) -> RunResult:

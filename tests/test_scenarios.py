@@ -308,6 +308,10 @@ class TestScenarioLoading:
             ("edges", lambda d: d.update(edges=[7])),
             ("costs.coop_pairs", lambda d: d["costs"].update(coop_pairs=[5])),
             ("sim.seeds[0]", lambda d: d["sim"].update(seeds=[True])),
+            (
+                "sim.seeds[1]: duplicate seed 2",
+                lambda d: d["sim"].update(seeds=[2, 2]),
+            ),
             ("obstacles[0].radius", lambda d: d["obstacles"][0].update(radius="big")),
             (
                 "sim.domain[0][1]",
@@ -317,6 +321,7 @@ class TestScenarioLoading:
         ids=[
             "rollouts_string", "rollouts_fraction", "dt_string", "start_string",
             "obstacles_number", "edge_number", "coop_pair_number", "seed_boolean",
+            "seed_duplicate",
             "radius_string", "domain_nan",
         ],
     )
