@@ -99,117 +99,6 @@ class RunResult:
         return self.infeasible_agent is not None
 
 
-class _LoopState:
-    """Per-agent state and records of one closed-loop run."""
-
-    def __init__(self, sc: Scenario, seed: int, task_targets: np.ndarray):
-        self.sc = sc
-        self.task_targets = np.asarray(task_targets, dtype=float)
-        self.base = NoiseStream(seed)
-        self.dyn = sc.agent_dynamics()
-        self.subsystems = build_subsystems(sc.graph)
-        self.discs = obstacle_discs(sc.obstacles)
-        n = sc.n_agents
-        self.x = [np.array(a.start, dtype=float) for a in sc.agents]
-        # (h, A, b) of every disc at each agent's current state.
-        self.barriers = [self._barriers_at(x) for x in self.x]
-        self.sim_gens = [
-            self.base.child(KIND_SIM, i, 0).generator() for i in range(n)
-        ]
-        self.finished: list[str | None] = [None] * n
-        self.times = [[0.0] for _ in range(n)]
-        self.states = [[self.x[i].copy()] for i in range(n)]
-        self.raw_controls: list[list[np.ndarray]] = [[] for _ in range(n)]
-        self.controls: list[list[np.ndarray]] = [[] for _ in range(n)]
-        self.ess: list[list[float]] = [[] for _ in range(n)]
-        self.h_values = [[bar[0]] for bar in self.barriers]
-        self.weights: list[list[np.ndarray]] = [[] for _ in range(n)]
-        self.infeasible_agent: int | None = None
-        self.infeasible_constraints: tuple[int, ...] | None = None
-        for i in range(n):
-            if self._reached(i):
-                self.finished[i] = EXIT_TARGET
-
-    def _barriers_at(self, x: np.ndarray) -> tuple:
-        return disc_barriers(x, self.discs, self.dyn.noise_cov)
-
-    def _reached(self, i: int) -> bool:
-        return (
-            float(np.linalg.norm(self.x[i][:2] - self.task_targets[i]))
-            <= self.sc.sim.target_radius
-        )
-
-    def _in_arena(self, i: int) -> bool:
-        (xlo, xhi), (ylo, yhi) = self.sc.sim.domain
-        px, py = self.x[i][0], self.x[i][1]
-        return xlo < px < xhi and ylo < py < yhi
-
-    def active_agents(self) -> list[int]:
-        return [i for i, f in enumerate(self.finished) if f is None]
-
-    def apply_controls(self, step: int, pending: dict[int, tuple]) -> None:
-        dt = self.sc.sim.dt
-        for i, (u_raw, u, ess, w) in pending.items():
-            dw = self.sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
-            self.x[i] = em_step(self.dyn, self.x[i], u, dt, dw)
-            self.times[i].append((step + 1) * dt)
-            self.states[i].append(self.x[i].copy())
-            self.raw_controls[i].append(np.asarray(u_raw, dtype=float))
-            self.controls[i].append(np.asarray(u, dtype=float))
-            self.ess[i].append(float(ess))
-            self.barriers[i] = self._barriers_at(self.x[i])
-            self.h_values[i].append(self.barriers[i][0])
-            if w is not None:
-                self.weights[i].append(np.asarray(w, dtype=float))
-            if self._reached(i):
-                self.finished[i] = EXIT_TARGET
-            elif not self._in_arena(i):
-                # Leaving the arena is a failed run; recorded as a timeout
-                # since the exit-reason vocabulary is fixed.
-                self.finished[i] = EXIT_MAX_TIME
-
-    def mark_infeasible(self, agent: int, constraint_ids) -> None:
-        self.infeasible_agent = agent
-        self.infeasible_constraints = tuple(int(j) for j in constraint_ids)
-        for i, f in enumerate(self.finished):
-            if f is None:
-                self.finished[i] = EXIT_INFEASIBLE
-
-    def finalize(self, mode: str, seed: int) -> RunResult:
-        def controls(rows: list[np.ndarray]) -> np.ndarray:
-            return np.asarray(rows) if rows else np.zeros((0, UAV_INPUTS))
-
-        records = []
-        for i in range(self.sc.n_agents):
-            reason = self.finished[i] or EXIT_MAX_TIME
-            traj = Trajectory(
-                times=np.asarray(self.times[i]),
-                states=np.asarray(self.states[i]),
-                controls=controls(self.controls[i]),
-                exit_reason=reason,
-            )
-            records.append(
-                AgentRecord(
-                    trajectory=traj,
-                    raw_controls=controls(self.raw_controls[i]),
-                    ess=np.asarray(self.ess[i]),
-                    h_values=np.asarray(self.h_values[i]),
-                    component_weights=(
-                        np.asarray(self.weights[i]) if self.weights[i] else None
-                    ),
-                )
-            )
-        return RunResult(
-            scenario=self.sc.name,
-            mode=mode,
-            seed=seed,
-            agents=records,
-            task_targets=self.task_targets,
-            infeasible_agent=self.infeasible_agent,
-            infeasible_constraints=self.infeasible_constraints,
-        )
-
-
 def run_task(sc: Scenario, seed: int, mode: str = MODE_FILTERED) -> RunResult:
     """Run every agent toward its own target under one noise seed.
 
@@ -251,38 +140,65 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
     """
     t0 = time.perf_counter()
     targets, components = sc.task_view()
-    loop = _LoopState(sc, seed, targets)
     lam = sc.pi.temperature
     dt = sc.sim.dt
-    max_steps = int(round(sc.sim.max_time / dt))
+    (xlo, xhi), (ylo, yhi) = sc.sim.domain
     filtered = mode == MODE_FILTERED
     composite = sc.task.mode == "composite"
+    base = NoiseStream(seed)
+    dyn = sc.agent_dynamics()
+    subsystems = build_subsystems(sc.graph)
+    discs = obstacle_discs(sc.obstacles)
+    n, max_steps = sc.n_agents, sc.sim.max_steps
+
+    # Step-major records: row k is control step k.  An agent acts at every
+    # step until it finishes, so agent i owns rows [0, steps[i]) of the
+    # controls and rows [0, steps[i]] of the states and barrier values.
+    x = np.array([a.start for a in sc.agents], dtype=float)
+    states = np.empty((max_steps + 1, n, UAV_DIM))
+    h = np.empty((max_steps + 1, n, len(discs), 2))
+    raw = np.empty((max_steps, n, UAV_INPUTS))
+    applied = np.empty((max_steps, n, UAV_INPUTS))
+    ess = np.empty((max_steps, n))
+    weights = np.empty((max_steps, n, len(components)))
+    steps = np.zeros(n, dtype=int)
+    states[0] = x
+    # (h, A, b) of every disc at each agent's current state.
+    bars = [disc_barriers(xi, discs, dyn.noise_cov) for xi in x]
+    h[0] = [bar[0] for bar in bars]
+    sim_gens = [base.child(KIND_SIM, i, 0).generator() for i in range(n)]
+    infeasible_agent = infeasible_constraints = None
+
+    def reached(i: int) -> bool:
+        return float(np.linalg.norm(x[i][:2] - targets[i])) <= sc.sim.target_radius
+
+    finished = [EXIT_TARGET if reached(i) else None for i in range(n)]
 
     # Per subsystem: the rollout sampler for the run's targets, one terminal
     # cost per component, and the task-similarity weights of the components.
     samplers = []
     comp_final = []
     mix_weights = []
-    for sub in loop.subsystems:
+    for sub in subsystems:
         finals = [subsystem_final_cost(sc, sub, comp) for comp in components]
         samplers.append(subsystem_rollouts(sc, sub, targets, finals[0]))
         comp_final.append(finals)
         mix_weights.append(subsystem_composition_weights(sc, sub))
 
-    for step in range(max_steps):
-        active = loop.active_agents()
+    for k in range(max_steps):
+        active = [i for i, f in enumerate(finished) if f is None]
         if not active:
             break
-        pending: dict[int, tuple] = {}
+        # Every active agent estimates from the same states, then each moves.
         for i in active:
-            sub = loop.subsystems[i]
-            joint = assemble_joint(sub, loop.x)
+            sub = subsystems[i]
+            joint = assemble_joint(sub, x)
             batch = samplers[i](
                 joint,
                 dt,
                 sc.pi.horizon_steps,
                 sc.pi.rollouts,
-                loop.base.child(KIND_ROLLOUT, i, step),
+                base.child(KIND_ROLLOUT, i, k),
             )
             scored = [batch] + [
                 dataclasses.replace(
@@ -295,28 +211,64 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
             u_components = [est.control[:UAV_INPUTS] for est in ests]
             w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
             if filtered:
-                _, a_mat, b_vec = loop.barriers[i]
+                _, a_mat, b_vec = bars[i]
                 try:
                     if len(u_components) > 1:
                         u_components = [
                             safety_filter(u, a_mat, b_vec) for u in u_components
                         ]
-                    u_raw = composite_control(w, u_components)
-                    u = safety_filter(u_raw, a_mat, b_vec)
+                    raw[k, i] = composite_control(w, u_components)
+                    applied[k, i] = safety_filter(raw[k, i], a_mat, b_vec)
                 except SafetyInfeasible as exc:
-                    loop.mark_infeasible(i, exc.constraint_ids)
+                    infeasible_agent = i
+                    infeasible_constraints = tuple(int(j) for j in exc.constraint_ids)
                     break
             else:
-                u_raw = u = composite_control(w, u_components)
-            ess = min(est.effective_sample_size for est in ests)
-            pending[i] = (u_raw, u, ess, w if composite else None)
-        if loop.infeasible_agent is not None:
+                raw[k, i] = applied[k, i] = composite_control(w, u_components)
+            ess[k, i] = min(est.effective_sample_size for est in ests)
+            weights[k, i] = w
+        if infeasible_agent is not None:
+            finished = [f or EXIT_INFEASIBLE for f in finished]
             break
-        loop.apply_controls(step, pending)
+        for i in active:
+            dw = sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
+            x[i] = em_step(dyn, x[i], applied[k, i], dt, dw)
+            states[k + 1, i] = x[i]
+            bars[i] = disc_barriers(x[i], discs, dyn.noise_cov)
+            h[k + 1, i] = bars[i][0]
+            steps[i] += 1
+            if reached(i):
+                finished[i] = EXIT_TARGET
+            elif not (xlo < x[i][0] < xhi and ylo < x[i][1] < yhi):
+                # Leaving the arena is a failed run; recorded as a timeout
+                # since the exit-reason vocabulary is fixed.
+                finished[i] = EXIT_MAX_TIME
 
-    result = loop.finalize(mode, seed)
-    result.wall_time = time.perf_counter() - t0
-    return result
+    records = [
+        AgentRecord(
+            trajectory=Trajectory(
+                times=np.arange(t + 1) * dt,
+                states=states[: t + 1, i],
+                controls=applied[:t, i],
+                exit_reason=finished[i] or EXIT_MAX_TIME,
+            ),
+            raw_controls=raw[:t, i],
+            ess=ess[:t, i],
+            h_values=h[: t + 1, i],
+            component_weights=weights[:t, i] if composite else None,
+        )
+        for i, t in enumerate(steps)
+    ]
+    return RunResult(
+        scenario=sc.name,
+        mode=mode,
+        seed=seed,
+        agents=records,
+        task_targets=targets,
+        infeasible_agent=infeasible_agent,
+        infeasible_constraints=infeasible_constraints,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def _check_mode(mode: str) -> None:

@@ -238,6 +238,11 @@ class SimParams:
     target_radius: float
     domain: tuple[tuple[float, float], tuple[float, float]]
 
+    @property
+    def max_steps(self) -> int:
+        """Control steps in a run that never finishes early."""
+        return int(round(self.max_time / self.dt))
+
 
 @dataclass(frozen=True)
 class ComponentSpec:
@@ -490,6 +495,11 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         target_radius=_positive(sim_raw.get("target_radius", 1.0), "sim.target_radius"),
         domain=((xlo, xhi), (ylo, yhi)),
     )
+    if sim.max_steps < 1:
+        raise ScenarioError(
+            f"sim.max_time: {sim.max_time} rounds to no control step of "
+            f"sim.dt {sim.dt}"
+        )
     for k, s in enumerate(sim.seeds):
         if s in sim.seeds[:k]:
             raise ScenarioError(f"sim.seeds[{k}]: duplicate seed {s}")

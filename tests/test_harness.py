@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
 import multiprocessing
 
@@ -420,6 +421,51 @@ class TestRawControlContract:
         assert joint_u.shape == (4,)
         np.testing.assert_array_equal(res.agents[0].raw_controls[0], joint_u[:2])
 
+    def test_finished_neighbour_is_held_at_its_last_state(self, write_scenario):
+        # Agent 1 starts 2.0 from its target, heading at it, and finishes
+        # within a few steps; agent 0 flies on with agent 1 in its subsystem.
+        data = tiny_scenario_dict()
+        data["agents"] = [
+            {"start": [0.0, 0.0, 1.0, 0.0], "target": [18.0, 0.0]},
+            {"start": [0.0, 3.0, 1.0, 0.0], "target": [2.0, 3.0]},
+        ]
+        data["edges"] = [[0, 1]]
+        data["costs"]["coop_pairs"] = [[0, 1]]
+        data["costs"]["pair_weight"] = 1.4
+        sc = write_scenario(data, "early_finish")
+        res = run_task(sc, seed=0, mode="filtered")
+        t0, t1 = (len(rec.trajectory.controls) for rec in res.agents)
+        rec = res.agents[1]
+        assert rec.trajectory.exit_reason == EXIT_TARGET
+        assert 0 < t1 < t0
+        assert rec.trajectory.times.shape == (t1 + 1,)
+        assert rec.trajectory.states.shape == (t1 + 1, 4)
+        assert rec.raw_controls.shape == (t1, 2)
+        assert rec.ess.shape == (t1,)
+        assert rec.h_values.shape == (t1 + 1, 1, 2)
+        assert res.agents[0].trajectory.exit_reason == EXIT_MAX_TIME
+        assert t0 == sc.sim.max_steps
+        assert compute_metrics(res, sc)["steps"] == [t0, t1]
+
+        # Agent 0's estimate two steps after agent 1 finished, built by hand
+        # with agent 1 at its last recorded state.
+        k = t1 + 2
+        sub = build_subsystems(sc.graph)[0]
+        targets, (task,) = sc.task_view()
+        final = subsystem_final_cost(sc, sub, task)
+        joint = assemble_joint(
+            sub, [res.agents[0].trajectory.states[k], rec.trajectory.states[-1]]
+        )
+        batch = subsystem_rollouts(sc, sub, targets, final)(
+            joint,
+            sc.sim.dt,
+            sc.pi.horizon_steps,
+            sc.pi.rollouts,
+            NoiseStream(0).child(KIND_ROLLOUT, 0, k),
+        )
+        joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
+        np.testing.assert_array_equal(res.agents[0].raw_controls[k], joint_u[:2])
+
     def test_single_task_records_unfiltered_estimate(self, tiny_scenario):
         res = run_task(tiny_scenario, seed=0, mode="filtered")
         assert compute_metrics(res, tiny_scenario)["filter_activation_count"] > 0
@@ -491,6 +537,34 @@ class TestInfeasibleHalt:
         assert rec.trajectory.times[-1] == pytest.approx(
             4 * tiny_composite.sim.dt
         )
+
+
+@pytest.mark.parametrize(
+    "name, csv_prefix, metrics_prefix",
+    [
+        ("single_uav", "7832b6921ce25887", "24e8acd789898c0a"),
+        ("three_uav_team", "a25fe88c6afada0e", "89831b067575ba30"),
+        ("two_target_composition", "d6e6504b626bebde", "3ebceab0c050dfb2"),
+    ],
+)
+def test_filtered_seed_0_outputs_keep_their_digests(
+    bundled, tmp_path, name, csv_prefix, metrics_prefix
+):
+    """sha256 prefixes of the trajectory CSV and of the metrics JSON.
+
+    The metrics are hashed without wall_time_s, as json.dumps(sort_keys=True).
+    The digests were recorded on numpy 2.4.6 / x86-64.  A change that alters
+    trajectories on purpose (ROADMAP items 3 and 8) records them again and
+    lists that in CHANGES.md.
+    """
+    sc = bundled(name)
+    runner = run_task if sc.task.mode == "single" else run_generalization
+    metrics = export_run(runner(sc, 0, mode="filtered"), sc, tmp_path)
+    del metrics["wall_time_s"]
+    csv_bytes = (tmp_path / f"{name}_filtered_seed0_trajectories.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest()[:16] == csv_prefix
+    metrics_json = json.dumps(metrics, sort_keys=True).encode()
+    assert hashlib.sha256(metrics_json).hexdigest()[:16] == metrics_prefix
 
 
 @pytest.mark.xfail(

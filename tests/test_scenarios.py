@@ -312,6 +312,7 @@ class TestScenarioLoading:
                 "sim.seeds[1]: duplicate seed 2",
                 lambda d: d["sim"].update(seeds=[2, 2]),
             ),
+            ("sim.max_time", lambda d: d["sim"].update(max_time=0.02)),
             ("obstacles[0].radius", lambda d: d["obstacles"][0].update(radius="big")),
             (
                 "sim.domain[0][1]",
@@ -321,7 +322,7 @@ class TestScenarioLoading:
         ids=[
             "rollouts_string", "rollouts_fraction", "dt_string", "start_string",
             "obstacles_number", "edge_number", "coop_pair_number", "seed_boolean",
-            "seed_duplicate",
+            "seed_duplicate", "max_time_zero_steps",
             "radius_string", "domain_nan",
         ],
     )
