@@ -46,7 +46,6 @@ from .sde import (
     KIND_SIM,
     NoiseStream,
     SafetyInfeasible,
-    Trajectory,
     em_step,
 )
 from .zcbf import safety_filter
@@ -75,7 +74,10 @@ MODE_FILTERED = "filtered"
 class AgentRecord:
     """Everything recorded for one agent during a closed-loop run."""
 
-    trajectory: Trajectory
+    times: np.ndarray  # (T+1,)
+    states: np.ndarray  # (T+1, 4) x, y, v, phi
+    controls: np.ndarray  # (T, P) applied controls
+    exit_reason: str  # target_reached / max_time / safety_infeasible
     raw_controls: np.ndarray  # (T, P) pre-filter controls
     ess: np.ndarray  # (T,) effective sample size per control step
     h_values: np.ndarray  # (T+1, n_obstacles, levels) barrier chain values
@@ -163,9 +165,8 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
     weights = np.empty((max_steps, n, len(components)))
     steps = np.zeros(n, dtype=int)
     states[0] = x
-    # (h, A, b) of every disc at each agent's current state.
-    bars = [disc_barriers(xi, discs, dyn.noise_cov) for xi in x]
-    h[0] = [bar[0] for bar in bars]
+    # A (n, n_obs, 2) and b (n, n_obs): every disc's half-spaces at x.
+    h[0], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
     sim_gens = [base.child(KIND_SIM, i, 0).generator() for i in range(n)]
     infeasible_agent = infeasible_constraints = None
 
@@ -193,13 +194,7 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
         for i in active:
             sub = subsystems[i]
             joint = assemble_joint(sub, x)
-            batch = samplers[i](
-                joint,
-                dt,
-                sc.pi.horizon_steps,
-                sc.pi.rollouts,
-                base.child(KIND_ROLLOUT, i, k),
-            )
+            batch = samplers[i](joint, base.child(KIND_ROLLOUT, i, k))
             scored = [batch] + [
                 dataclasses.replace(
                     batch, path_costs=batch.running_costs + phi(batch.exit_states)
@@ -211,7 +206,7 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
             u_components = [est.control[:UAV_INPUTS] for est in ests]
             w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
             if filtered:
-                _, a_mat, b_vec = bars[i]
+                a_mat, b_vec = a_all[i], b_all[i]
                 try:
                     if len(u_components) > 1:
                         u_components = [
@@ -234,8 +229,6 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
             dw = sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
             x[i] = em_step(dyn, x[i], applied[k, i], dt, dw)
             states[k + 1, i] = x[i]
-            bars[i] = disc_barriers(x[i], discs, dyn.noise_cov)
-            h[k + 1, i] = bars[i][0]
             steps[i] += 1
             if reached(i):
                 finished[i] = EXIT_TARGET
@@ -243,15 +236,15 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
                 # Leaving the arena is a failed run; recorded as a timeout
                 # since the exit-reason vocabulary is fixed.
                 finished[i] = EXIT_MAX_TIME
+        # A finished agent's rows past its last step are never read.
+        h[k + 1], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
 
     records = [
         AgentRecord(
-            trajectory=Trajectory(
-                times=np.arange(t + 1) * dt,
-                states=states[: t + 1, i],
-                controls=applied[:t, i],
-                exit_reason=finished[i] or EXIT_MAX_TIME,
-            ),
+            times=np.arange(t + 1) * dt,
+            states=states[: t + 1, i],
+            controls=applied[:t, i],
+            exit_reason=finished[i] or EXIT_MAX_TIME,
             raw_controls=raw[:t, i],
             ess=ess[:t, i],
             h_values=h[: t + 1, i],
@@ -357,34 +350,28 @@ def compute_metrics(result: RunResult, sc: Scenario) -> dict:
     reached = []
     steps = []
     for i, rec in enumerate(result.agents):
-        final_pos = rec.trajectory.states[-1][:2]
+        final_pos = rec.states[-1][:2]
         terminal_errors.append(
             float(np.linalg.norm(final_pos - result.task_targets[i]))
         )
-        reached.append(rec.trajectory.exit_reason == EXIT_TARGET)
-        steps.append(len(rec.trajectory.controls))
+        reached.append(rec.exit_reason == EXIT_TARGET)
+        steps.append(len(rec.controls))
 
     min_center_distance = []
     for j in range(n_obs):
         center = np.asarray(sc.obstacles[j].center)
         dmin = np.inf
         for rec in result.agents:
-            d = np.linalg.norm(rec.trajectory.states[:, :2] - center, axis=1)
+            d = np.linalg.norm(rec.states[:, :2] - center, axis=1)
             dmin = min(dmin, float(d.min()))
         min_center_distance.append(dmin)
 
     violations = 0
-    for rec in result.agents:
-        if rec.h_values.size:
-            violations += int(np.sum(np.any(rec.h_values[:, :, 0] < 0.0, axis=1)))
-
     activations = 0
     for rec in result.agents:
-        if rec.raw_controls.size:
-            diff = np.max(
-                np.abs(rec.raw_controls - rec.trajectory.controls), axis=1
-            )
-            activations += int(np.sum(diff > 1e-12))
+        violations += int(np.sum(np.any(rec.h_values[:, :, 0] < 0.0, axis=1)))
+        diff = np.max(np.abs(rec.raw_controls - rec.controls), axis=1)
+        activations += int(np.sum(diff > 1e-12))
 
     pair_distances = {}
     for (i, j) in sc.costs.coop_pairs:
@@ -394,7 +381,7 @@ def compute_metrics(result: RunResult, sc: Scenario) -> dict:
         "scenario": result.scenario,
         "mode": result.mode,
         "seed": result.seed,
-        "exit_reasons": [r.trajectory.exit_reason for r in result.agents],
+        "exit_reasons": [r.exit_reason for r in result.agents],
         "reached": reached,
         "steps": steps,
         "terminal_position_error": terminal_errors,
@@ -426,8 +413,8 @@ def compute_metrics(result: RunResult, sc: Scenario) -> dict:
 
 def _pair_mean_distance(result: RunResult, i: int, j: int) -> float:
     """Mean distance over the run; a finished agent holds its last state."""
-    si = result.agents[i].trajectory.states[:, :2]
-    sj = result.agents[j].trajectory.states[:, :2]
+    si = result.agents[i].states[:, :2]
+    sj = result.agents[j].states[:, :2]
     t_max = max(len(si), len(sj))
     xi = np.vstack([si, np.repeat(si[-1:], t_max - len(si), axis=0)])
     xj = np.vstack([sj, np.repeat(sj[-1:], t_max - len(sj), axis=0)])
@@ -454,19 +441,18 @@ def write_trajectories_csv(result: RunResult, path: str | Path) -> Path:
     path = Path(path)
     n_obs = result.agents[0].h_values.shape[1] if result.agents else 0
     header = trajectory_header(n_obs)
-    t_max = max((len(rec.trajectory.times) for rec in result.agents), default=0)
+    t_max = max((len(rec.times) for rec in result.agents), default=0)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for t_idx in range(t_max):
             for agent, rec in enumerate(result.agents):
-                traj = rec.trajectory
-                if t_idx >= len(traj.times):
+                if t_idx >= len(rec.times):
                     continue
-                row = [_fmt(traj.times[t_idx]), str(agent)]
-                row.extend(_fmt(v) for v in traj.states[t_idx])
-                if t_idx < len(traj.controls):
-                    row.extend(_fmt(v) for v in traj.controls[t_idx])
+                row = [_fmt(rec.times[t_idx]), str(agent)]
+                row.extend(_fmt(v) for v in rec.states[t_idx])
+                if t_idx < len(rec.controls):
+                    row.extend(_fmt(v) for v in rec.controls[t_idx])
                 else:
                     row.extend(["", ""])
                 if n_obs:

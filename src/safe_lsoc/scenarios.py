@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
@@ -116,7 +116,7 @@ def obstacle_discs(obstacles: Sequence[Obstacle]) -> np.ndarray:
 def disc_barriers(
     x: np.ndarray, discs: np.ndarray, noise_cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form barrier chain of every keep-out disc at one vehicle state.
+    """Closed-form barrier chain of every keep-out disc at stacked vehicle states.
 
     Under the unicycle a disc has relative degree 1.  With dx = x - cx,
     dy = y - cy, r = dx cos(phi) + dy sin(phi),
@@ -127,14 +127,14 @@ def disc_barriers(
         a  = (2 r, v k),
         b  = -h1 - (2 v^2 + 2 v r) - (k S_v.S_phi - v r |S_phi|^2).
 
-    Returns h (n_obs, 2) with the levels h0, h1, and the top-level
-    half-spaces a . u >= b as A (n_obs, 2) and b (n_obs,).  These are the
-    values the finite-difference chain of zcbf (chain_lift and
-    constraint_coeffs) approximates; the position rows of B are zero, so no
-    lower level couples to the control.
+    For states x (..., 4) it returns h (..., n_obs, 2) with the levels h0,
+    h1, and the top-level half-spaces a . u >= b as A (..., n_obs, 2) and
+    b (..., n_obs).  These are the values the finite-difference chain of
+    zcbf (chain_lift and constraint_coeffs) approximates; the position rows
+    of B are zero, so no lower level couples to the control.
     """
-    px, py, v, phi = (float(c) for c in x)
-    c, s = math.cos(phi), math.sin(phi)
+    px, py, v, phi = (x[..., j, None] for j in range(UAV_DIM))
+    c, s = np.cos(phi), np.sin(phi)
     dx = px - discs[:, 0]
     dy = py - discs[:, 1]
     h0 = dx * dx + dy * dy - discs[:, 2]
@@ -143,9 +143,9 @@ def disc_barriers(
     k = 2.0 * (dy * c - dx * s)
     s_v, s_phi = np.asarray(noise_cov, dtype=float)
     trace = k * float(s_v @ s_phi) - v * r * float(s_phi @ s_phi)
-    a = np.stack([2.0 * r, v * k], axis=1)
+    a = np.stack([2.0 * r, v * k], axis=-1)
     b = -h1 - (2.0 * v * v + 2.0 * v * r) - trace
-    return np.stack([h0, h1], axis=1), a, b
+    return np.stack([h0, h1], axis=-1), a, b
 
 
 def _obstacle_penalty(
@@ -566,6 +566,10 @@ def validate_physics(sc: Scenario) -> None:
         px, py = a.start[0], a.start[1]
         if not (xlo < px < xhi and ylo < py < yhi):
             raise ScenarioError(f"agents[{i}].start: outside the domain box")
+        if np.linalg.norm(a.start[:2] - targets[i]) <= sc.sim.target_radius:
+            raise ScenarioError(
+                f"agents[{i}].start: within sim.target_radius of its target"
+            )
     for t in all_targets:
         if not (xlo < t[0] < xhi and ylo < t[1] < yhi):
             raise ScenarioError("target outside the domain box")
@@ -576,14 +580,12 @@ def validate_physics(sc: Scenario) -> None:
                 )
 
     discs = obstacle_discs(sc.obstacles)
-    noise = sc.agent_dynamics().noise_cov
-    start_h = [disc_barriers(a.start, discs, noise)[0] for a in sc.agents]
-    for j in range(len(sc.obstacles)):
-        for i, h in enumerate(start_h):
-            if np.any(h[j] < 0.0):
-                raise ScenarioError(
-                    f"agents[{i}] starts outside the safe set of obstacle {j}"
-                )
+    starts = np.array([a.start for a in sc.agents])
+    h = disc_barriers(starts, discs, sc.agent_dynamics().noise_cov)[0]
+    unsafe = np.argwhere(np.any(h < 0.0, axis=2).T)  # rows (obstacle, agent)
+    if len(unsafe):
+        j, i = unsafe[0]
+        raise ScenarioError(f"agents[{i}] starts outside the safe set of obstacle {j}")
     for sub in build_subsystems(sc.graph):
         subsystem_composition_weights(sc, sub)
 
@@ -732,18 +734,20 @@ def subsystem_rollouts(
     sub: FactorialSubsystem,
     targets: np.ndarray,
     final_cost: Callable[[np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray, float, int, int, NoiseStream], RolloutBatch]:
+) -> Callable[[np.ndarray, NoiseStream], RolloutBatch]:
     """Rollout sampler of one subsystem; the closed loop's only sampler.
 
-    The returned sample(x0, dt, horizon, n_rollouts, stream) computes what
-    rollout_batch(subsystem_problem(sc, sub, targets, final_cost), x0, dt,
-    horizon, n_rollouts, stream) computes, bit for bit, for the stacked
-    unicycles the schema describes.  The state is one (4, n_members, K)
-    array of x, y, v, phi rows.  The input and noise matrices only add
-    sigma * dw to v and phi, distances are sqrt(dx*dx + dy*dy) as
-    np.linalg.norm forms them, and disc penalties add in obstacle order.
-    A path stops at the target ball or the arena box of the central agent;
-    a stopped path keeps its state, and a box exit is clipped onto the box.
+    The returned sample(x0, stream) computes what rollout_batch on
+    subsystem_problem(sc, sub, targets, final_cost) computes with the run's
+    dt, horizon and rollout count, bit for bit, for the stacked unicycles
+    the schema describes.  It checks no input: the loader and em_step
+    guarantee them, and rollout_batch is the checked oracle.  The state is
+    one (4, n_members, K) array of x, y, v, phi rows.  The input and noise
+    matrices only add sigma * dw to v and phi, distances are
+    sqrt(dx*dx + dy*dy) as np.linalg.norm forms them, and disc penalties
+    add in obstacle order.  A path stops at the target ball or the arena
+    box of the central agent; a stopped path keeps its state, and a box
+    exit is clipped onto the box.
     """
     member_targets, d_max, pair_blocks, goal_weight = subsystem_cost_terms(
         sc, sub, targets
@@ -757,6 +761,7 @@ def subsystem_rollouts(
     radii2 = np.array([ob.radius**2 for ob in obstacles]).reshape(-1, 1)
     soft_costs = np.array([ob.soft_cost for ob in obstacles]).reshape(-1, 1)
     n = sub.size
+    dt, horizon, n_rollouts = sc.sim.dt, sc.pi.horizon_steps, sc.pi.rollouts
     member_noise = sc.agent_dynamics().noise_cov
     noise_scale = np.diag(member_noise).reshape(2, 1, 1)
     noise_cov = np.kron(np.eye(n), member_noise)
@@ -770,21 +775,8 @@ def subsystem_rollouts(
         out = (pos <= lower) | (pos >= upper)
         return (d2 <= ball_r2) | out[0] | out[1]
 
-    def sample(
-        x0: np.ndarray, dt: float, horizon: int, n_rollouts: int, stream: NoiseStream
-    ) -> RolloutBatch:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if horizon < 1:
-            raise ValueError("horizon must be at least one step")
-        if n_rollouts < 1:
-            raise ValueError("need at least one rollout")
-        x0 = np.asarray(x0, dtype=float)
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("start state must be finite")
-        start = x0.reshape(n, UAV_DIM).T[:, :, None]
-        if bool(exits(start[:2, 0], goal_d2(start[:2, 0]))[0]):
-            raise ValueError("start state lies on the boundary")
+    def sample(x0: np.ndarray, stream: NoiseStream) -> RolloutBatch:
+        start = np.asarray(x0, dtype=float).reshape(n, UAV_DIM).T[:, :, None]
         dw = stream.generator().normal(
             0.0, np.sqrt(dt), size=(horizon, n_rollouts, 2 * n)
         )

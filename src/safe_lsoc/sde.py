@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ControlAffineDynamics",
     "NoiseStream",
-    "Trajectory",
     "SimulationError",
     "derive_stream_id",
     "KIND_SIM",
@@ -128,26 +127,6 @@ def em_step(
         raise SimulationError("non-finite input to em_step")
     b = dyn.control_matrix
     return x + dyn.drift(x) * dt + b @ (u * dt + dyn.noise_cov @ dw)
-
-
-@dataclass
-class Trajectory:
-    """Time-stamped states and applied controls from one simulated run.
-
-    states has one more row than controls; exit_reason is one of
-    target_reached / max_time / safety_infeasible.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    controls: np.ndarray
-    exit_reason: str
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(self.controls) != max(len(self.states) - 1, 0):
-            raise ValueError("controls must be one shorter than states")
 
 
 # Raised by the zcbf filter and re-exported there; defined here, next to the

@@ -480,11 +480,9 @@ def rollout_kernel_check(n_starts: int = 8) -> CheckResult:
             problem = subsystem_problem(sc, sub, targets, phi)
             ball = problem.domain.parts[0]
             for k, x0 in enumerate(_exit_starts(sc, sub, targets, rng, n_starts)):
-                got, want = (
-                    sampler(x0, dt, horizon, k_rollouts,
-                            NoiseStream(seed).child(5, sub.central, k))
-                    for sampler in (kernel, partial(rollout_batch, problem))
-                )
+                fresh = partial(NoiseStream(seed).child, 5, sub.central, k)
+                got = kernel(x0, fresh())
+                want = rollout_batch(problem, x0, dt, horizon, k_rollouts, fresh())
                 for attr in BATCH_ARRAYS:
                     a, b = getattr(got, attr), getattr(want, attr)
                     equal = equal and np.array_equal(a, b)

@@ -112,7 +112,7 @@ class TestCriterion3Composition:
             sc, list(sc.sim.seeds), mode="filtered", runner=run_generalization
         )
         errors = [
-            float(np.linalg.norm(r.agents[0].trajectory.states[-1][:2] - [35.0, 21.0]))
+            float(np.linalg.norm(r.agents[0].states[-1][:2] - [35.0, 21.0]))
             for r in results
         ]
         hits = sum(e <= 3.0 for e in errors)
@@ -146,12 +146,10 @@ class TestCriterion3Composition:
         res_s = run_task(single, seed=0, mode="filtered")
         same = True
         for ra, rb in zip(res_c.agents, res_s.agents):
-            same &= bool(np.array_equal(ra.trajectory.times, rb.trajectory.times))
-            same &= bool(np.array_equal(ra.trajectory.states, rb.trajectory.states))
-            same &= bool(
-                np.array_equal(ra.trajectory.controls, rb.trajectory.controls)
-            )
-            same &= ra.trajectory.exit_reason == rb.trajectory.exit_reason
+            same &= bool(np.array_equal(ra.times, rb.times))
+            same &= bool(np.array_equal(ra.states, rb.states))
+            same &= bool(np.array_equal(ra.controls, rb.controls))
+            same &= ra.exit_reason == rb.exit_reason
             same &= bool(np.array_equal(ra.ess, rb.ess))
             same &= bool(np.array_equal(ra.h_values, rb.h_values))
         report(

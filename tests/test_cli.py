@@ -116,7 +116,7 @@ class TestRunCommand:
             infeasible_constraints=(0,),
         )
         for rec in halted.agents:
-            rec.trajectory.exit_reason = EXIT_INFEASIBLE
+            rec.exit_reason = EXIT_INFEASIBLE
         monkeypatch.setattr(cli, "run_seeds", lambda *a, **k: [halted])
         code = cli.main(["run", str(tiny_path), "--seeds", "0"])
         assert code == cli.EXIT_UNSAFE

@@ -273,14 +273,11 @@ class TestExactComposition:
             for k, u_mix in enumerate(res.agents[i].raw_controls):
                 # A finished agent holds its last state.
                 states = [
-                    rec.trajectory.states[min(k, len(rec.trajectory.states) - 1)]
+                    rec.states[min(k, len(rec.states) - 1)]
                     for rec in res.agents
                 ]
                 batch = sample(
                     assemble_joint(sub, states),
-                    sc.sim.dt,
-                    sc.pi.horizon_steps,
-                    sc.pi.rollouts,
                     NoiseStream(0).child(KIND_ROLLOUT, i, k),
                 )
                 batch = dataclasses.replace(

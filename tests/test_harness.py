@@ -41,7 +41,6 @@ from safe_lsoc.sde import (
     KIND_SIM,
     NoiseStream,
     SafetyInfeasible,
-    Trajectory,
     em_step,
 )
 
@@ -52,12 +51,12 @@ def assert_same_run(a: RunResult, b: RunResult) -> None:
     assert a.scenario == b.scenario and a.mode == b.mode and a.seed == b.seed
     assert len(a.agents) == len(b.agents)
     for ra, rb in zip(a.agents, b.agents):
-        np.testing.assert_array_equal(ra.trajectory.times, rb.trajectory.times)
-        np.testing.assert_array_equal(ra.trajectory.states, rb.trajectory.states)
+        np.testing.assert_array_equal(ra.times, rb.times)
+        np.testing.assert_array_equal(ra.states, rb.states)
         np.testing.assert_array_equal(
-            ra.trajectory.controls, rb.trajectory.controls
+            ra.controls, rb.controls
         )
-        assert ra.trajectory.exit_reason == rb.trajectory.exit_reason
+        assert ra.exit_reason == rb.exit_reason
         np.testing.assert_array_equal(ra.raw_controls, rb.raw_controls)
         np.testing.assert_array_equal(ra.h_values, rb.h_values)
 
@@ -79,8 +78,8 @@ class TestRunTask:
     def test_records_are_consistent(self, tiny_scenario):
         res = run_task(tiny_scenario, seed=0)
         rec = res.agents[0]
-        t = len(rec.trajectory.controls)
-        assert len(rec.trajectory.states) == t + 1
+        t = len(rec.controls)
+        assert len(rec.states) == t + 1
         assert rec.raw_controls.shape == (t, 2)
         assert rec.ess.shape == (t,)
         assert rec.h_values.shape == (t + 1, 1, 2)
@@ -95,10 +94,10 @@ class TestRunTask:
         baseline = run_task(sc, seed=1, mode="baseline")
         for ra, rb in zip(filtered.agents, baseline.agents):
             np.testing.assert_array_equal(
-                ra.trajectory.states, rb.trajectory.states
+                ra.states, rb.states
             )
             np.testing.assert_array_equal(
-                ra.trajectory.controls, rb.trajectory.controls
+                ra.controls, rb.controls
             )
         assert compute_metrics(filtered, sc)["filter_activation_count"] == 0
 
@@ -112,7 +111,7 @@ class TestRunTask:
         baseline = run_task(sc, seed=2, mode="baseline")
         for ra, rb in zip(filtered.agents, baseline.agents):
             np.testing.assert_array_equal(
-                ra.trajectory.states, rb.trajectory.states
+                ra.states, rb.states
             )
         m = compute_metrics(filtered, sc)
         assert m["filter_activation_count"] == 0
@@ -124,10 +123,10 @@ class TestRunTask:
         data["agents"][0]["start"] = [-3.5, 5.0, 2.5, float(np.pi)]
         sc = write_scenario(data, "runaway")
         res = run_task(sc, seed=0, mode="baseline")
-        traj = res.agents[0].trajectory
-        assert traj.exit_reason == EXIT_MAX_TIME
-        assert traj.times[-1] < sc.sim.max_time - sc.sim.dt / 2.0
-        assert traj.states[-1][0] < -4.5
+        rec = res.agents[0]
+        assert rec.exit_reason == EXIT_MAX_TIME
+        assert rec.times[-1] < sc.sim.max_time - sc.sim.dt / 2.0
+        assert rec.states[-1][0] < -4.5
 
 
 class TestStepRebuild:
@@ -139,16 +138,15 @@ class TestStepRebuild:
         dyn = sc.agent_dynamics()
         dt = sc.sim.dt
         for i, rec in enumerate(res.agents):
-            traj = rec.trajectory
-            assert len(traj.controls) > 0
+            assert len(rec.controls) > 0
             gen = NoiseStream(0).child(KIND_SIM, i, 0).generator()
             x = np.array(sc.agents[i].start, dtype=float)
-            np.testing.assert_array_equal(traj.states[0], x)
-            for k, u in enumerate(traj.controls):
+            np.testing.assert_array_equal(rec.states[0], x)
+            for k, u in enumerate(rec.controls):
                 dw = gen.normal(0.0, np.sqrt(dt), size=2)
                 x = em_step(dyn, x, u, dt, dw)
-                np.testing.assert_array_equal(traj.states[k + 1], x)
-                assert traj.times[k + 1] == (k + 1) * dt
+                np.testing.assert_array_equal(rec.states[k + 1], x)
+                assert rec.times[k + 1] == (k + 1) * dt
 
 
 class TestRunSeeds:
@@ -202,23 +200,19 @@ def synthetic_result(sc) -> RunResult:
         [[0.0, 0.0, 1.0, 0.0], [10.0, 7.5, 1.0, 0.0], [20.0, 0.0, 1.0, 0.0]]
     )
     rec0 = AgentRecord(
-        trajectory=Trajectory(
-            times=np.array([0.0, 0.05, 0.1]),
-            states=states0,
-            controls=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            exit_reason=EXIT_MAX_TIME,
-        ),
+        times=np.array([0.0, 0.05, 0.1]),
+        states=states0,
+        controls=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        exit_reason=EXIT_MAX_TIME,
         raw_controls=np.array([[0.0, 0.0], [2.0, 0.0]]),
         ess=np.array([150.0, 140.0]),
         h_values=np.array([[[9.0, 9.0]], [[-9.0, -9.0]], [[291.0, 291.0]]]),
     )
     rec1 = AgentRecord(
-        trajectory=Trajectory(
-            times=np.array([0.0, 0.05]),
-            states=np.array([[0.0, 3.0, 1.0, 0.0], [1.0, 3.0, 1.0, 0.0]]),
-            controls=np.array([[0.0, 0.0]]),
-            exit_reason=EXIT_TARGET,
-        ),
+        times=np.array([0.0, 0.05]),
+        states=np.array([[0.0, 3.0, 1.0, 0.0], [1.0, 3.0, 1.0, 0.0]]),
+        controls=np.array([[0.0, 0.0]]),
+        exit_reason=EXIT_TARGET,
         raw_controls=np.array([[0.0, 0.0]]),
         ess=np.array([150.0]),
         h_values=np.array([[[9.0, 9.0]], [[9.0, 9.0]]]),
@@ -309,7 +303,7 @@ class TestExport:
         assert times == sorted(times)
         assert rows[-1]["u1"] == "" and rows[-1]["u2"] == ""
         # every float cell round-trips exactly through repr
-        state = res.agents[0].trajectory.states[0]
+        state = res.agents[0].states[0]
         assert float(rows[0]["x"]) == state[0] and float(rows[0]["phi"]) == state[3]
 
     def test_metrics_json_readable(self, tiny_scenario, tmp_path):
@@ -361,7 +355,7 @@ class TestRunGeneralization:
     def test_component_weights_recorded_and_convex(self, tiny_composite):
         res = run_generalization(tiny_composite, seed=0, mode="filtered")
         rec = res.agents[0]
-        t = len(rec.trajectory.controls)
+        t = len(rec.controls)
         assert rec.component_weights is not None
         assert rec.component_weights.shape == (t, 2)
         sums = rec.component_weights.sum(axis=1)
@@ -391,12 +385,12 @@ class TestRunGeneralization:
         res_single = run_task(sc_single, seed=0, mode="filtered")
         for ra, rb in zip(res_comp.agents, res_single.agents):
             np.testing.assert_array_equal(
-                ra.trajectory.states, rb.trajectory.states
+                ra.states, rb.states
             )
             np.testing.assert_array_equal(
-                ra.trajectory.controls, rb.trajectory.controls
+                ra.controls, rb.controls
             )
-            assert ra.trajectory.exit_reason == rb.trajectory.exit_reason
+            assert ra.exit_reason == rb.exit_reason
 
 
 class TestRawControlContract:
@@ -412,9 +406,6 @@ class TestRawControlContract:
         final = subsystem_final_cost(sc, sub, task)
         batch = subsystem_rollouts(sc, sub, targets, final)(
             assemble_joint(sub, [a.start for a in sc.agents]),
-            sc.sim.dt,
-            sc.pi.horizon_steps,
-            sc.pi.rollouts,
             NoiseStream(0).child(KIND_ROLLOUT, 0, 0),
         )
         joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
@@ -434,16 +425,16 @@ class TestRawControlContract:
         data["costs"]["pair_weight"] = 1.4
         sc = write_scenario(data, "early_finish")
         res = run_task(sc, seed=0, mode="filtered")
-        t0, t1 = (len(rec.trajectory.controls) for rec in res.agents)
+        t0, t1 = (len(rec.controls) for rec in res.agents)
         rec = res.agents[1]
-        assert rec.trajectory.exit_reason == EXIT_TARGET
+        assert rec.exit_reason == EXIT_TARGET
         assert 0 < t1 < t0
-        assert rec.trajectory.times.shape == (t1 + 1,)
-        assert rec.trajectory.states.shape == (t1 + 1, 4)
+        assert rec.times.shape == (t1 + 1,)
+        assert rec.states.shape == (t1 + 1, 4)
         assert rec.raw_controls.shape == (t1, 2)
         assert rec.ess.shape == (t1,)
         assert rec.h_values.shape == (t1 + 1, 1, 2)
-        assert res.agents[0].trajectory.exit_reason == EXIT_MAX_TIME
+        assert res.agents[0].exit_reason == EXIT_MAX_TIME
         assert t0 == sc.sim.max_steps
         assert compute_metrics(res, sc)["steps"] == [t0, t1]
 
@@ -454,14 +445,10 @@ class TestRawControlContract:
         targets, (task,) = sc.task_view()
         final = subsystem_final_cost(sc, sub, task)
         joint = assemble_joint(
-            sub, [res.agents[0].trajectory.states[k], rec.trajectory.states[-1]]
+            sub, [res.agents[0].states[k], rec.states[-1]]
         )
         batch = subsystem_rollouts(sc, sub, targets, final)(
-            joint,
-            sc.sim.dt,
-            sc.pi.horizon_steps,
-            sc.pi.rollouts,
-            NoiseStream(0).child(KIND_ROLLOUT, 0, k),
+            joint, NoiseStream(0).child(KIND_ROLLOUT, 0, k)
         )
         joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
         np.testing.assert_array_equal(res.agents[0].raw_controls[k], joint_u[:2])
@@ -516,10 +503,10 @@ class TestInfeasibleHalt:
         assert metrics["infeasible_constraints"] == list(FORCED_IDS)
         dt = pair_scenario.sim.dt
         for rec in res.agents:
-            assert rec.trajectory.exit_reason == EXIT_INFEASIBLE
-            assert len(rec.trajectory.controls) == 3
+            assert rec.exit_reason == EXIT_INFEASIBLE
+            assert len(rec.controls) == 3
             assert len(rec.raw_controls) == 3
-            assert rec.trajectory.times[-1] == pytest.approx(3 * dt)
+            assert rec.times[-1] == pytest.approx(3 * dt)
 
     def test_run_generalization_halts_at_that_step(
         self, tiny_composite, monkeypatch
@@ -531,24 +518,26 @@ class TestInfeasibleHalt:
         assert res.infeasible_agent == 0
         assert res.infeasible_constraints == FORCED_IDS
         rec = res.agents[0]
-        assert rec.trajectory.exit_reason == EXIT_INFEASIBLE
-        assert len(rec.trajectory.controls) == 4
+        assert rec.exit_reason == EXIT_INFEASIBLE
+        assert len(rec.controls) == 4
         assert rec.component_weights.shape == (4, 2)
-        assert rec.trajectory.times[-1] == pytest.approx(
+        assert rec.times[-1] == pytest.approx(
             4 * tiny_composite.sim.dt
         )
 
 
 @pytest.mark.parametrize(
-    "name, csv_prefix, metrics_prefix",
+    "name, mode, csv_prefix, metrics_prefix",
     [
-        ("single_uav", "7832b6921ce25887", "24e8acd789898c0a"),
-        ("three_uav_team", "a25fe88c6afada0e", "89831b067575ba30"),
-        ("two_target_composition", "d6e6504b626bebde", "3ebceab0c050dfb2"),
+        ("single_uav", "baseline", "743e27e40d21a34a", "7e556f6a69124656"),
+        ("single_uav", "filtered", "7832b6921ce25887", "24e8acd789898c0a"),
+        ("three_uav_team", "filtered", "a25fe88c6afada0e", "89831b067575ba30"),
+        ("two_target_composition", "filtered", "d6e6504b626bebde", "3ebceab0c050dfb2"),
+        ("five_uav_composition", "baseline", "d10056ae247c0b64", "9f8dd6f96a53652c"),
     ],
 )
-def test_filtered_seed_0_outputs_keep_their_digests(
-    bundled, tmp_path, name, csv_prefix, metrics_prefix
+def test_seed_0_outputs_keep_their_digests(
+    bundled, tmp_path, name, mode, csv_prefix, metrics_prefix
 ):
     """sha256 prefixes of the trajectory CSV and of the metrics JSON.
 
@@ -559,9 +548,9 @@ def test_filtered_seed_0_outputs_keep_their_digests(
     """
     sc = bundled(name)
     runner = run_task if sc.task.mode == "single" else run_generalization
-    metrics = export_run(runner(sc, 0, mode="filtered"), sc, tmp_path)
+    metrics = export_run(runner(sc, 0, mode=mode), sc, tmp_path)
     del metrics["wall_time_s"]
-    csv_bytes = (tmp_path / f"{name}_filtered_seed0_trajectories.csv").read_bytes()
+    csv_bytes = (tmp_path / f"{name}_{mode}_seed0_trajectories.csv").read_bytes()
     assert hashlib.sha256(csv_bytes).hexdigest()[:16] == csv_prefix
     metrics_json = json.dumps(metrics, sort_keys=True).encode()
     assert hashlib.sha256(metrics_json).hexdigest()[:16] == metrics_prefix

@@ -27,12 +27,11 @@ from safe_lsoc.scenarios import (
     subsystem_composition_weights,
     subsystem_final_cost,
     subsystem_problem,
-    subsystem_rollouts,
     subsystem_running_cost,
     uav_drift,
     uav_dynamics,
 )
-from safe_lsoc.sde import ControlAffineDynamics, NoiseStream
+from safe_lsoc.sde import ControlAffineDynamics
 from safe_lsoc.selfcheck import BATCH_ARRAYS, rollout_kernel_check
 from safe_lsoc.zcbf import (
     BarrierFunction,
@@ -172,6 +171,31 @@ class TestDiscBarriers:
             np.array([1.0, 2.0, 1.0, 0.3]), obstacle_discs([]), np.eye(2)
         )
         assert h.shape == (0, 2) and a.shape == (0, 2) and b.shape == (0,)
+
+    @pytest.mark.parametrize("n_obs", [0, 2])
+    @pytest.mark.parametrize("n_states", [1, 3, 5])
+    def test_stacked_states_match_one_state_calls(self, n_states, n_obs):
+        rng = np.random.default_rng(10 * n_states + n_obs)
+        xs = rng.uniform([-20.0, -20.0, 0.0, -np.pi], [20.0, 20.0, 3.0, np.pi],
+                         size=(n_states, UAV_DIM))
+        discs = obstacle_discs(
+            [Obstacle(center=(3.0, -4.0), radius=2.0, margin=0.5),
+             Obstacle(center=(-6.0, 8.0), radius=1.5, margin=1.0)][:n_obs]
+        )
+        noise = np.array([[0.05, 0.01], [-0.02, 0.025]])
+        h, a, b = disc_barriers(xs, discs, noise)
+        assert h.shape == (n_states, n_obs, 2)
+        assert a.shape == (n_states, n_obs, 2) and b.shape == (n_states, n_obs)
+        for i, x in enumerate(xs):
+            for stacked, single in zip((h, a, b), disc_barriers(x, discs, noise)):
+                assert np.array_equal(stacked[i], single)
+
+    def test_unsafe_start_names_agent_and_obstacle(self, write_scenario):
+        data = tiny_scenario_dict()
+        data["agents"].append({"start": [9.0, 7.5, 2.5, 0.0], "target": [15.0, 12.0]})
+        message = "agents[1] starts outside the safe set of obstacle 0"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            write_scenario(data)
 
 
 def goal_cost(states, target, d_max, obstacles=()):
@@ -313,6 +337,10 @@ class TestScenarioLoading:
                 lambda d: d["sim"].update(seeds=[2, 2]),
             ),
             ("sim.max_time", lambda d: d["sim"].update(max_time=0.02)),
+            (
+                "agents[0].start: within sim.target_radius",
+                lambda d: d["agents"][0].update(start=[14.0, 10.0, 1.0, 0.4636]),
+            ),
             ("obstacles[0].radius", lambda d: d["obstacles"][0].update(radius="big")),
             (
                 "sim.domain[0][1]",
@@ -322,7 +350,7 @@ class TestScenarioLoading:
         ids=[
             "rollouts_string", "rollouts_fraction", "dt_string", "start_string",
             "obstacles_number", "edge_number", "coop_pair_number", "seed_boolean",
-            "seed_duplicate", "max_time_zero_steps",
+            "seed_duplicate", "max_time_zero_steps", "start_inside_target",
             "radius_string", "domain_nan",
         ],
     )
@@ -538,29 +566,3 @@ class TestRolloutKernel:
         assert check.stats["ball_exits"] > 0
         assert check.stats["box_exits"] > 0
         assert check.stats["mixed_batches"] > 0
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"dt": 0.0},
-            {"horizon": 0},
-            {"n_rollouts": 0},
-            {"x0": [np.nan, 10.0, 2.5, 0.0]},
-            {"x0": [15.0, 10.0, 2.5, 0.0]},  # on the target ball
-            {"x0": [-5.0, 10.0, 2.5, 0.0]},  # on the arena box
-        ],
-        ids=["dt", "horizon", "rollouts", "nan_start", "ball_start", "box_start"],
-    )
-    def test_argument_validation(self, tiny_scenario, bad):
-        sub = build_subsystems(tiny_scenario.graph)[0]
-        targets, (task,) = tiny_scenario.task_view()
-        phi = subsystem_final_cost(tiny_scenario, sub, task)
-        sample = subsystem_rollouts(tiny_scenario, sub, targets, phi)
-        args = {"x0": tiny_scenario.agents[0].start, "dt": 0.05, "horizon": 5,
-                "n_rollouts": 4}
-        args.update(bad)
-        with pytest.raises(ValueError):
-            sample(
-                np.asarray(args["x0"], dtype=float), args["dt"], args["horizon"],
-                args["n_rollouts"], NoiseStream(0),
-            )

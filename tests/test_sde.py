@@ -8,12 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safe_lsoc.sde import (
-    EXIT_MAX_TIME,
     KIND_SIM,
     ControlAffineDynamics,
     NoiseStream,
     SimulationError,
-    Trajectory,
     derive_stream_id,
     em_step,
 )
@@ -134,24 +132,6 @@ class TestEmStep:
         dyn = double_integrator()
         with pytest.raises(SimulationError):
             em_step(dyn, np.array([np.nan, 0.0]), np.array([0.0]), 0.1, np.zeros(1))
-
-
-class TestTrajectory:
-    def test_length_contract(self):
-        with pytest.raises(ValueError):
-            Trajectory(
-                times=np.array([0.0, 0.1]),
-                states=np.zeros((2, 2)),
-                controls=np.zeros((2, 1)),
-                exit_reason=EXIT_MAX_TIME,
-            )
-        with pytest.raises(ValueError):
-            Trajectory(
-                times=np.array([0.0]),
-                states=np.zeros((2, 2)),
-                controls=np.zeros((1, 1)),
-                exit_reason=EXIT_MAX_TIME,
-            )
 
 
 class TestDynamicsValidation:
