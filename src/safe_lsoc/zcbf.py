@@ -184,6 +184,9 @@ def constraint_coeffs(
 
 # Slack below which a half-space or a multiplier still counts as satisfied.
 _FEAS_TOL = 1e-9
+# Condition number above which a full active set is parallel up to rounding,
+# so its vertex is noise and is not a candidate.
+_VERTEX_COND_MAX = 1e12
 
 
 def safety_filter(
@@ -261,15 +264,25 @@ def _project(
     for size in range(1, min(p, m) + 1):
         for subset in combinations(range(m), size):
             a_s = a_mat[list(subset)]
-            gram = a_s @ a_s.T
+            b_s = b_vec[list(subset)]
             try:
-                mu = np.linalg.solve(gram, b_vec[list(subset)] - a_s @ u)
+                if size == p:
+                    # A full active set is a vertex.  Solving A_s v = b_s
+                    # keeps its residual at rounding level; the Gram route
+                    # squares the conditioning, and a near-parallel pair's
+                    # vertex then misses its own half-spaces by > 1e-9.
+                    v = np.linalg.solve(a_s, b_s)
+                    mu = np.linalg.solve(a_s.T, v - u)
+                else:
+                    mu = np.linalg.solve(a_s @ a_s.T, b_s - a_s @ u)
+                    v = u + a_s.T @ mu
             except np.linalg.LinAlgError:
                 continue
             if np.any(mu < -_FEAS_TOL):
                 continue
-            v = u + a_s.T @ mu
-            if np.all(a_mat @ v - b_vec >= -_FEAS_TOL):
+            if np.all(a_mat @ v - b_vec >= -_FEAS_TOL) and not (
+                size == p and np.linalg.cond(a_s) > _VERTEX_COND_MAX
+            ):
                 d = float(np.linalg.norm(v - u))
                 if d < best_dist - 1e-15:
                     best, best_dist = v, d

@@ -181,8 +181,8 @@ def infeasible_case(draw):
     -(sum y_j a_j) / y_c, so y^T A = 0, and its last offset is shifted until
     y^T b > 0.  A core of 2 is an antiparallel pair.  The other rows are
     free.  Apart from exactly antiparallel pairs, no two normals are within
-    about 8 degrees of (anti)parallel; the far corner of such a pair is a
-    known filter defect (test_far_corner_of_near_antiparallel_pair).  Every
+    about 8 degrees of (anti)parallel; the far corner of such a pair has its
+    own test (test_far_corner_of_near_antiparallel_pair).  Every
     subset's verdict is kept clear of the boundary (|slack| > 1e-6), and
     normal entries below 1e-6 are excluded: HiGHS drops matrix entries under
     1e-9, which can turn an antiparallel pair into a crossing one.
@@ -285,16 +285,35 @@ class TestSafetyFilter:
         for rest in combinations(ids, len(ids) - 1):
             assert slack[rest] > 0.0
 
-    @pytest.mark.xfail(strict=True, reason="absolute residual tolerance")
     def test_far_corner_of_near_antiparallel_pair(self):
         # Two non-parallel half-planes always meet; this pair meets near
-        # (320, -2152), where the corner's residual rounds to -1.03e-9 and
-        # the filter's absolute 1e-9 tolerance calls the set empty.
+        # (320, -2152).  Through the Gram matrix that corner's residual came
+        # out at -1.03e-9 and the set was called empty; the vertex is now
+        # solved from the pair itself.
         a_mat = np.array([[-0.98914601, -0.14693591], [1.13019494, 0.16742384]])
         b_vec = np.array([0.0, 1.0])
         assert linprog_slack(a_mat, b_vec) > 0.0
         out = safety_filter(np.zeros(2), a_mat, b_vec)
         assert np.all(a_mat @ out - b_vec >= -1e-9)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            [[-0.9519033, -0.3063986], [0.95190293, 0.30639975]],
+            [[-0.71343558, -0.70072082], [0.71328574, 0.70087335]],
+        ],
+    )
+    def test_vertex_of_near_antiparallel_pair(self, pair):
+        # The pair is 0.0001-0.0002 rad from antiparallel and meets at the
+        # origin, the nearest feasible point to u.  Through the Gram matrix
+        # that vertex missed its half-spaces by more than 1e-9, and the set
+        # was called empty.
+        a_mat = np.array([[1.0, 0.0], *pair])
+        b_vec = np.zeros(3)
+        u = np.array([0.0, -1.0])
+        out = safety_filter(u, a_mat, b_vec)
+        assert np.all(a_mat @ out - b_vec >= -1e-9)
+        assert np.linalg.norm(out - u) <= 1.0 + 1e-9
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
