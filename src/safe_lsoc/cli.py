@@ -23,6 +23,7 @@ from .harness import (
     margin_sweep,
     run_generalization,
     run_seeds,
+    run_task,
     write_sweep_csv,
 )
 from .scenarios import (
@@ -31,6 +32,7 @@ from .scenarios import (
     bundled_scenario_path,
     list_bundled_scenarios,
     load_scenario,
+    parse_seeds,
 )
 
 EXIT_OK = 0
@@ -48,16 +50,10 @@ def _resolve_scenario(token: str) -> Scenario:
 def _parse_seeds(raw: str | None, sc: Scenario) -> list[int]:
     if raw is None:
         return list(sc.sim.seeds)
-    try:
-        seeds = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ScenarioError(f"--seeds: {exc}") from exc
-    if not seeds or any(s < 0 for s in seeds):
-        raise ScenarioError("--seeds: expected comma-separated ints >= 0")
-    for k, s in enumerate(seeds):
-        if s in seeds[:k]:
-            raise ScenarioError(f"--seeds: seed {s} listed twice")
-    return seeds
+    # A token that is not a decimal integer stays a string, which the rule rejects.
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip() != ""]
+    seeds = [int(t) if t.isdecimal() else t for t in tokens]
+    return list(parse_seeds(seeds, "--seeds"))
 
 
 def _parse_margins(raw: str) -> list[float]:
@@ -133,17 +129,11 @@ def _report_runs(results: list[RunResult], sc: Scenario, out: Path | None) -> in
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """run and compose: the seeds of args.runner, reported and exported."""
     sc = _resolve_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds, sc)
     out = _out_dir(args.out)
-    return _report_runs(run_seeds(sc, seeds, mode=args.mode), sc, out)
-
-
-def _cmd_compose(args: argparse.Namespace) -> int:
-    sc = _resolve_scenario(args.scenario)
-    seeds = _parse_seeds(args.seeds, sc)
-    out = _out_dir(args.out)
-    results = run_seeds(sc, seeds, mode=args.mode, runner=run_generalization)
+    results = run_seeds(sc, seeds, mode=args.mode, runner=args.runner)
     return _report_runs(results, sc, out)
 
 
@@ -211,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a task scenario closed loop")
     add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, runner=run_task)
 
     p_comp = sub.add_parser(
         "compose", help="generalize component tasks to a new target"
     )
     add_common(p_comp)
-    p_comp.set_defaults(func=_cmd_compose)
+    p_comp.set_defaults(func=_cmd_run, runner=run_generalization)
 
     p_sweep = sub.add_parser("sweep", help="margin sweep, both control modes")
     add_common(p_sweep, modes=False)

@@ -109,25 +109,19 @@ def run_task(sc: Scenario, seed: int, mode: str = MODE_FILTERED) -> RunResult:
     and in filtered mode each control is projected onto the barrier
     constraints before being applied.
     """
-    if sc.task.mode != "single":
-        raise ScenarioError("run_task requires a scenario with task.mode single")
-    _check_mode(mode)
-    return _run_closed_loop(sc, seed, mode)
+    return _run_closed_loop(sc, seed, mode, "run_task", "single")
 
 
 def run_generalization(
     sc: Scenario, seed: int, mode: str = MODE_FILTERED
 ) -> RunResult:
     """Steer toward a new target by mixing the component-task controllers."""
-    if sc.task.mode != "composite":
-        raise ScenarioError(
-            "run_generalization requires a scenario with task.mode composite"
-        )
-    _check_mode(mode)
-    return _run_closed_loop(sc, seed, mode)
+    return _run_closed_loop(sc, seed, mode, "run_generalization", "composite")
 
 
-def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
+def _run_closed_loop(
+    sc: Scenario, seed: int, mode: str, runner: str, task_mode: str
+) -> RunResult:
     """Drive every agent toward the run's targets with a mix of component controls.
 
     The targets and components come from sc.task_view().  Each agent draws
@@ -138,8 +132,13 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
     are each pre-filtered, so their convex mixture under the kernel and
     desirability weights is already feasible; the mixture then passes the
     filter once.  Component weights are recorded for composite scenarios
-    only.
+    only.  runner names the public runner, which takes scenarios of
+    task_mode only.
     """
+    if sc.task.mode != task_mode:
+        raise ScenarioError(f"{runner} requires a scenario with task.mode {task_mode}")
+    if mode not in (MODE_BASELINE, MODE_FILTERED):
+        raise ValueError(f"mode must be '{MODE_BASELINE}' or '{MODE_FILTERED}'")
     t0 = time.perf_counter()
     targets, components = sc.task_view()
     lam = sc.pi.temperature
@@ -262,11 +261,6 @@ def _run_closed_loop(sc: Scenario, seed: int, mode: str) -> RunResult:
         infeasible_constraints=infeasible_constraints,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (MODE_BASELINE, MODE_FILTERED):
-        raise ValueError(f"mode must be '{MODE_BASELINE}' or '{MODE_FILTERED}'")
 
 
 def run_seeds(

@@ -41,7 +41,7 @@ class AgentGraph:
         for e in edges:
             if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ValueError(f"edge {e!r} must have exactly two endpoints")
-            i, j = int(e[0]), int(e[1])
+            i, j = e
             if i == j:
                 raise ValueError(f"self-loop on agent {i}")
             for k in (i, j):

@@ -9,6 +9,7 @@ validates the schema strictly and rejects physically inconsistent setups.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ __all__ = [
     "running_cost_coop",
     "final_cost",
     "load_scenario",
+    "parse_seeds",
     "validate_physics",
     "bundled_scenario_path",
     "list_bundled_scenarios",
@@ -210,24 +212,30 @@ class AgentSpec:
     target: np.ndarray
 
 
-# Only load_scenario builds these three; it holds their defaults.
+@dataclass(frozen=True)
+class FinalCost:
+    """Parameters c, d, alpha of final_cost."""
+
+    c: float = 0.0
+    d: float = 2.0
+    alpha: float = 0.0
+
+
 @dataclass(frozen=True)
 class CostParams:
-    goal_weight: float
-    pair_weight: float
-    coop_pairs: tuple[tuple[int, int], ...]
-    final_c: float
-    final_d: float
-    final_alpha: float
+    goal_weight: float = 1.0
+    pair_weight: float = 0.0
+    coop_pairs: tuple[tuple[int, int], ...] = ()
+    final: FinalCost = FinalCost()
 
 
 @dataclass(frozen=True)
 class PiParams:
-    rollouts: int
-    horizon_steps: int
-    temperature: float
-    sigma: float
-    nu: float
+    rollouts: int = 2000
+    horizon_steps: int = 60
+    temperature: float = 1.0
+    sigma: float = 0.05
+    nu: float = 0.025
 
 
 @dataclass(frozen=True)
@@ -235,8 +243,10 @@ class SimParams:
     dt: float
     max_time: float
     seeds: tuple[int, ...]
-    target_radius: float
-    domain: tuple[tuple[float, float], tuple[float, float]]
+    target_radius: float = 1.0
+    domain: tuple[tuple[float, float], tuple[float, float]] = (
+        (-5.0, 45.0), (-5.0, 40.0)
+    )
 
     @property
     def max_steps(self) -> int:
@@ -247,9 +257,7 @@ class SimParams:
 @dataclass(frozen=True)
 class ComponentSpec:
     targets: np.ndarray  # (n_agents, 2)
-    final_c: float
-    final_d: float
-    final_alpha: float
+    final: FinalCost
 
 
 @dataclass(frozen=True)
@@ -290,8 +298,7 @@ class Scenario:
         if self.task.mode == "composite":
             return self.task.new_targets, self.task.components
         targets = np.stack([a.target for a in self.agents])
-        c = self.costs
-        return targets, (ComponentSpec(targets, c.final_c, c.final_d, c.final_alpha),)
+        return targets, (ComponentSpec(targets, self.costs.final),)
 
 
 def _require_keys(
@@ -307,28 +314,41 @@ def _require_keys(
         raise ScenarioError(f"{path}: missing required keys {missing}")
 
 
-def _float_array(value, path: str) -> np.ndarray:
+def _read(cls, obj, path: str, rules: dict[str, Callable]):
+    """Read the JSON object obj into the schema dataclass cls.
+
+    The fields without a default are required; a key left out keeps its
+    field's default.  rules[key] parses the value of key with the path
+    "{path}.{key}", and a range error of cls itself is reported under path.
+    """
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    _require_keys(obj, path, required, names)
+    values = {k: rules[k](obj[k], f"{path}.{k}") for k in names if k in obj}
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: expected numbers") from exc
-
-
-def _as_floats(value, path: str, length: int) -> np.ndarray:
-    arr = _float_array(value, path)
-    if arr.shape != (length,) or not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{path}: expected {length} finite numbers")
-    return arr
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _number(value, path: str) -> float:
+    """The one number rule: a finite JSON int or float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path}: expected a number")
     try:
         v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: expected a number") from exc
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ScenarioError(f"{path}: must be finite")
     return v
+
+
+def _numbers(value, path: str, length: int) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != length:
+        raise ScenarioError(f"{path}: expected {length} finite numbers")
+    return np.array([_number(v, f"{path}[{k}]") for k, v in enumerate(value)])
 
 
 def _positive(value, path: str) -> float:
@@ -338,7 +358,7 @@ def _positive(value, path: str) -> float:
     return v
 
 
-def _integer(value, path: str, minimum: int) -> int:
+def _integer(value, path: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ScenarioError(f"{path}: expected an integer >= {minimum}")
     return value
@@ -350,33 +370,122 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _parse_component(
-    entry: dict, index: int, n_agents: int, defaults: CostParams
-) -> ComponentSpec:
-    path = f"task.components[{index}]"
-    # "id" is a free-form label for the reader; nothing stores it.
-    _require_keys(entry, path, ["targets"], ["id", "final"])
-    targets = _parse_targets(entry["targets"], f"{path}.targets", n_agents)
-    c, d, alpha = defaults.final_c, defaults.final_d, defaults.final_alpha
-    if "final" in entry:
-        fin = entry["final"]
-        _require_keys(fin, f"{path}.final", [], ["c", "d", "alpha"])
-        c = _number(fin.get("c", c), f"{path}.final.c")
-        d = _positive(fin.get("d", d), f"{path}.final.d")
-        alpha = _number(fin.get("alpha", alpha), f"{path}.final.alpha")
-    return ComponentSpec(targets=targets, final_c=c, final_d=d, final_alpha=alpha)
+def _agent_pair(value, path: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{path}: expected [i, j]")
+    return _integer(value[0], path), _integer(value[1], path)
+
+
+def parse_seeds(values, path: str) -> tuple[int, ...]:
+    """The rule of every seed list: a non-empty list of distinct integers >= 0."""
+    if not _list(values, path):
+        raise ScenarioError(f"{path}: expected a non-empty list")
+    seeds = tuple(_integer(s, f"{path}[{k}]") for k, s in enumerate(values))
+    for k, s in enumerate(seeds):
+        if s in seeds[:k]:
+            raise ScenarioError(f"{path}[{k}]: duplicate seed {s}")
+    return seeds
+
+
+def _parse_domain(value, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{path}: expected [[xlo, xhi], [ylo, yhi]]")
+    (xlo, xhi), (ylo, yhi) = (
+        _numbers(row, f"{path}[{k}]", 2).tolist() for k, row in enumerate(value)
+    )
+    if xlo >= xhi or ylo >= yhi:
+        raise ScenarioError(f"{path}: box must have positive extent")
+    return (xlo, xhi), (ylo, yhi)
 
 
 def _parse_targets(value, path: str, n_agents: int) -> np.ndarray:
     """Accept one [x, y] broadcast to all agents, or one pair per agent."""
-    arr = _float_array(value, path)
-    if arr.shape == (2,):
-        arr = np.tile(arr, (n_agents, 1))
-    if arr.shape != (n_agents, 2) or not np.all(np.isfinite(arr)):
+    if not (_list(value, path) and isinstance(value[0], list)):
+        return np.tile(_numbers(value, path, 2), (n_agents, 1))
+    if len(value) != n_agents:
         raise ScenarioError(
             f"{path}: expected [x, y] or one [x, y] per agent ({n_agents})"
         )
-    return arr
+    return np.array([_numbers(t, f"{path}[{i}]", 2) for i, t in enumerate(value)])
+
+
+_AGENT_RULES = {
+    "start": lambda v, path: _numbers(v, path, UAV_DIM),
+    "target": lambda v, path: _numbers(v, path, 2),
+}
+_OBSTACLE_RULES = {
+    "center": lambda v, path: tuple(_numbers(v, path, 2)),
+    "radius": _number,
+    "margin": _number,
+    "soft_cost": _number,
+}
+_FINAL_RULES = {"c": _number, "d": _positive, "alpha": _number}
+_PI_RULES = {
+    "rollouts": lambda v, path: _integer(v, path, 1),
+    "horizon_steps": lambda v, path: _integer(v, path, 1),
+    "temperature": _positive,
+    "sigma": _positive,
+    "nu": _positive,
+}
+_SIM_RULES = {
+    "dt": _positive,
+    "max_time": _positive,
+    "seeds": parse_seeds,
+    "target_radius": _positive,
+    "domain": _parse_domain,
+}
+
+
+def _parse_component(
+    entry: dict, path: str, n_agents: int, shared: FinalCost
+) -> ComponentSpec:
+    # "id" is a free-form label for the reader; nothing stores it.
+    _require_keys(entry, path, ["targets"], ["id", "final"])
+    targets = _parse_targets(entry["targets"], f"{path}.targets", n_agents)
+    if "final" in entry:
+        return ComponentSpec(
+            targets, _read(FinalCost, entry["final"], f"{path}.final", _FINAL_RULES)
+        )
+    return ComponentSpec(targets, shared)
+
+
+def _parse_task(raw, n_agents: int, shared: FinalCost) -> TaskSpec:
+    _require_keys(raw, "task", ["mode"], ["components", "new_target", "kernel_width"])
+    mode = raw["mode"]
+    if mode not in ("single", "composite"):
+        raise ScenarioError(
+            f"task.mode: expected 'single' or 'composite', got {mode!r}"
+        )
+    if mode == "single":
+        for key in ("components", "new_target", "kernel_width"):
+            if key in raw:
+                raise ScenarioError(f"task.{key}: only valid in composite mode")
+        return TaskSpec(mode="single")
+    if "components" not in raw or "new_target" not in raw:
+        raise ScenarioError("task: composite mode requires components and new_target")
+    comps = tuple(
+        _parse_component(entry, f"task.components[{f}]", n_agents, shared)
+        for f, entry in enumerate(_list(raw["components"], "task.components"))
+    )
+    if not comps:
+        raise ScenarioError("task.components: need at least one component")
+    kernel_width = TaskSpec.kernel_width
+    if "kernel_width" in raw:
+        kernel_width = _positive(raw["kernel_width"], "task.kernel_width")
+    new_targets = _parse_targets(raw["new_target"], "task.new_target", n_agents)
+    return TaskSpec("composite", comps, new_targets, kernel_width)
+
+
+def _parse_coop_pairs(value, path: str, graph: AgentGraph) -> tuple:
+    pairs = set()
+    for k, pair in enumerate(_list(value, path)):
+        i, j = _agent_pair(pair, f"{path}[{k}]")
+        if frozenset((i, j)) not in graph.edges:
+            raise ScenarioError(
+                f"{path}[{k}]: cooperation pair ({i}, {j}) is not a graph edge"
+            )
+        pairs.add((min(i, j), max(i, j)))
+    return tuple(sorted(pairs))
 
 
 def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
@@ -391,165 +500,47 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
         ["edges", "costs", "pi"],
     )
 
-    # Agents.
     if not isinstance(raw["agents"], list) or not raw["agents"]:
         raise ScenarioError("agents: expected a non-empty list")
-    agents = []
-    for i, entry in enumerate(raw["agents"]):
-        apath = f"agents[{i}]"
-        _require_keys(entry, apath, ["start", "target"])
-        agents.append(
-            AgentSpec(
-                start=_as_floats(entry["start"], f"{apath}.start", UAV_DIM),
-                target=_as_floats(entry["target"], f"{apath}.target", 2),
-            )
-        )
-    n_agents = len(agents)
-
+    agents = tuple(
+        _read(AgentSpec, entry, f"agents[{i}]", _AGENT_RULES)
+        for i, entry in enumerate(raw["agents"])
+    )
+    edges = [
+        _agent_pair(e, f"edges[{k}]")
+        for k, e in enumerate(_list(raw.get("edges", []), "edges"))
+    ]
     try:
-        graph = AgentGraph.from_edge_list(n_agents, raw.get("edges", []))
-    except (TypeError, ValueError) as exc:
+        graph = AgentGraph.from_edge_list(len(agents), edges)
+    except ValueError as exc:
         raise ScenarioError(f"edges: {exc}") from exc
-
-    obstacles = []
-    for j, entry in enumerate(_list(raw["obstacles"], "obstacles")):
-        opath = f"obstacles[{j}]"
-        _require_keys(entry, opath, ["center", "radius", "margin"], ["soft_cost"])
-        center = _as_floats(entry["center"], f"{opath}.center", 2)
-        radius = _positive(entry["radius"], f"{opath}.radius")
-        margin = _number(entry["margin"], f"{opath}.margin")
-        soft_cost = _number(entry.get("soft_cost", 160.0), f"{opath}.soft_cost")
-        try:
-            obstacles.append(Obstacle(tuple(center), radius, margin, soft_cost))
-        except ValueError as exc:
-            raise ScenarioError(f"{opath}: {exc}") from exc
-
-    costs_raw = raw.get("costs", {})
-    _require_keys(
-        costs_raw, "costs", [],
-        ["goal_weight", "pair_weight", "coop_pairs", "final"],
+    obstacles = tuple(
+        _read(Obstacle, entry, f"obstacles[{j}]", _OBSTACLE_RULES)
+        for j, entry in enumerate(_list(raw["obstacles"], "obstacles"))
     )
-    fin = costs_raw.get("final", {})
-    _require_keys(fin, "costs.final", [], ["c", "d", "alpha"])
-    coop_pairs = []
-    pairs = _list(costs_raw.get("coop_pairs", []), "costs.coop_pairs")
-    for k, pair in enumerate(pairs):
-        ppath = f"costs.coop_pairs[{k}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{ppath}: expected [i, j]")
-        i, j = (_integer(a, ppath, 0) for a in pair)
-        if frozenset((i, j)) not in graph.edges:
-            raise ScenarioError(
-                f"{ppath}: cooperation pair ({i}, {j}) is not a graph edge"
-            )
-        coop_pairs.append((min(i, j), max(i, j)))
-    costs = CostParams(
-        goal_weight=_number(costs_raw.get("goal_weight", 1.0), "costs.goal_weight"),
-        pair_weight=_number(costs_raw.get("pair_weight", 0.0), "costs.pair_weight"),
-        coop_pairs=tuple(sorted(set(coop_pairs))),
-        final_c=_number(fin.get("c", 0.0), "costs.final.c"),
-        final_d=_positive(fin.get("d", 2.0), "costs.final.d"),
-        final_alpha=_number(fin.get("alpha", 0.0), "costs.final.alpha"),
-    )
-
-    pi_raw = raw.get("pi", {})
-    _require_keys(
-        pi_raw, "pi", [],
-        ["rollouts", "horizon_steps", "temperature", "sigma", "nu"],
-    )
-    pi = PiParams(
-        rollouts=_integer(pi_raw.get("rollouts", 2000), "pi.rollouts", 1),
-        horizon_steps=_integer(
-            pi_raw.get("horizon_steps", 60), "pi.horizon_steps", 1
-        ),
-        temperature=_positive(pi_raw.get("temperature", 1.0), "pi.temperature"),
-        sigma=_positive(pi_raw.get("sigma", 0.05), "pi.sigma"),
-        nu=_positive(pi_raw.get("nu", 0.025), "pi.nu"),
-    )
-
-    sim_raw = raw["sim"]
-    _require_keys(
-        sim_raw, "sim", ["dt", "max_time", "seeds"],
-        ["target_radius", "domain"],
-    )
-    seeds = _list(sim_raw["seeds"], "sim.seeds")
-    if not seeds:
-        raise ScenarioError("sim.seeds: expected a non-empty list")
-    domain_raw = sim_raw.get("domain", [[-5.0, 45.0], [-5.0, 40.0]])
-    try:
-        (xlo, xhi), (ylo, yhi) = domain_raw
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("sim.domain: expected [[xlo, xhi], [ylo, yhi]]") from exc
-    xlo, xhi, ylo, yhi = (
-        _number(v, f"sim.domain[{k // 2}][{k % 2}]")
-        for k, v in enumerate((xlo, xhi, ylo, yhi))
-    )
-    if xlo >= xhi or ylo >= yhi:
-        raise ScenarioError("sim.domain: box must have positive extent")
-    sim = SimParams(
-        dt=_positive(sim_raw["dt"], "sim.dt"),
-        max_time=_positive(sim_raw["max_time"], "sim.max_time"),
-        seeds=tuple(
-            _integer(s, f"sim.seeds[{k}]", 0) for k, s in enumerate(seeds)
-        ),
-        target_radius=_positive(sim_raw.get("target_radius", 1.0), "sim.target_radius"),
-        domain=((xlo, xhi), (ylo, yhi)),
-    )
+    costs = _read(CostParams, raw.get("costs", {}), "costs", {
+        "goal_weight": _number,
+        "pair_weight": _number,
+        "coop_pairs": lambda v, path: _parse_coop_pairs(v, path, graph),
+        "final": lambda v, path: _read(FinalCost, v, path, _FINAL_RULES),
+    })
+    pi = _read(PiParams, raw.get("pi", {}), "pi", _PI_RULES)
+    sim = _read(SimParams, raw["sim"], "sim", _SIM_RULES)
     if sim.max_steps < 1:
         raise ScenarioError(
             f"sim.max_time: {sim.max_time} rounds to no control step of "
             f"sim.dt {sim.dt}"
         )
-    for k, s in enumerate(sim.seeds):
-        if s in sim.seeds[:k]:
-            raise ScenarioError(f"sim.seeds[{k}]: duplicate seed {s}")
-
-    task_raw = raw["task"]
-    _require_keys(
-        task_raw, "task", ["mode"],
-        ["components", "new_target", "kernel_width"],
-    )
-    mode = task_raw["mode"]
-    if mode not in ("single", "composite"):
-        raise ScenarioError(f"task.mode: expected 'single' or 'composite', got {mode!r}")
-    if mode == "single":
-        for key in ("components", "new_target", "kernel_width"):
-            if key in task_raw:
-                raise ScenarioError(f"task.{key}: only valid in composite mode")
-        task = TaskSpec(mode="single")
-    else:
-        if "components" not in task_raw or "new_target" not in task_raw:
-            raise ScenarioError(
-                "task: composite mode requires components and new_target"
-            )
-        entries = _list(task_raw["components"], "task.components")
-        comps = tuple(
-            _parse_component(entry, f, n_agents, costs)
-            for f, entry in enumerate(entries)
-        )
-        if not comps:
-            raise ScenarioError("task.components: need at least one component")
-        new_targets = _parse_targets(
-            task_raw["new_target"], "task.new_target", n_agents
-        )
-        task = TaskSpec(
-            mode="composite",
-            components=comps,
-            new_targets=new_targets,
-            kernel_width=_positive(
-                task_raw.get("kernel_width", 0.02), "task.kernel_width"
-            ),
-        )
 
     scenario = Scenario(
         name=name or path.stem,
-        agents=tuple(agents),
+        agents=agents,
         graph=graph,
-        obstacles=tuple(obstacles),
+        obstacles=obstacles,
         costs=costs,
         pi=pi,
         sim=sim,
-        task=task,
+        task=_parse_task(raw["task"], len(agents), costs.final),
     )
     validate_physics(scenario)
     return scenario
@@ -671,7 +662,7 @@ def subsystem_running_cost(
 def subsystem_final_cost(sc: Scenario, sub: FactorialSubsystem, comp: ComponentSpec):
     """Sum of per-member final costs of one component task."""
     member_targets = comp.targets[list(sub.members)]
-    c, d, alpha = comp.final_c, comp.final_d, comp.final_alpha
+    c, d, alpha = comp.final.c, comp.final.d, comp.final.alpha
 
     def phi(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -89,7 +89,7 @@ class TestRunCommand:
         code = cli.main(["run", str(tiny_path), "--seeds", "2,0,2"])
         assert code == cli.EXIT_INVALID
         captured = capsys.readouterr()
-        assert captured.err == "error: --seeds: seed 2 listed twice\n"
+        assert captured.err == "error: --seeds[2]: duplicate seed 2\n"
         assert captured.out == ""
 
     def test_composite_rejected_inside_the_worker_pool(self, capfd):

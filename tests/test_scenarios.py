@@ -14,7 +14,10 @@ from safe_lsoc.mas import build_subsystems
 from safe_lsoc.scenarios import (
     UAV_DIM,
     UAV_INPUTS,
+    CostParams,
+    FinalCost,
     Obstacle,
+    PiParams,
     ScenarioError,
     bundled_scenario_path,
     disc_barriers,
@@ -23,6 +26,7 @@ from safe_lsoc.scenarios import (
     load_scenario,
     obstacle_discs,
     running_cost_coop,
+    SimParams,
     TaskSpec,
     subsystem_composition_weights,
     subsystem_final_cost,
@@ -41,6 +45,11 @@ from safe_lsoc.zcbf import (
 )
 
 from conftest import tiny_composite_dict, tiny_scenario_dict
+
+
+def _with_second_agent(data: dict, edges: list) -> None:
+    data["agents"].append({"start": [5.0, 12.0, 2.5, 0.0], "target": [15.0, 12.0]})
+    data["edges"] = edges
 
 
 class TestVehicleModel:
@@ -346,12 +355,31 @@ class TestScenarioLoading:
                 "sim.domain[0][1]",
                 lambda d: d["sim"].update(domain=[[-5.0, float("nan")], [-5.0, 20.0]]),
             ),
+            ("sim.dt", lambda d: d["sim"].update(dt="0.05")),
+            ("pi.temperature", lambda d: d["pi"].update(temperature=True)),
+            (
+                "agents[0].start",
+                lambda d: d["agents"][0].update(start=["5", "5", "1", "0.4636"]),
+            ),
+            ("agents[0].target", lambda d: d["agents"][0].update(target=[True, 10.0])),
+            ("obstacles[0].radius", lambda d: d["obstacles"][0].update(radius="2")),
+            (
+                "sim.domain[0][0]",
+                lambda d: d["sim"].update(domain=[["-5", 25], [-5.0, 20.0]]),
+            ),
+            ("edges[0]", lambda d: _with_second_agent(d, edges=[[0, 1.9]])),
+            ("edges[0]", lambda d: _with_second_agent(d, edges=[[True, 0]])),
+            ("edges[0]", lambda d: _with_second_agent(d, edges=[["1", 0]])),
+            ("sim.dt: must be finite", lambda d: d["sim"].update(dt=10**400)),
         ],
         ids=[
             "rollouts_string", "rollouts_fraction", "dt_string", "start_string",
             "obstacles_number", "edge_number", "coop_pair_number", "seed_boolean",
             "seed_duplicate", "max_time_zero_steps", "start_inside_target",
-            "radius_string", "domain_nan",
+            "radius_string", "domain_nan", "dt_numeric_string",
+            "temperature_boolean", "start_numeric_strings", "target_boolean",
+            "radius_numeric_string", "domain_numeric_string", "edge_fraction",
+            "edge_boolean", "edge_string", "dt_integer_overflow",
         ],
     )
     def test_malformed_field_rejected_with_its_path(
@@ -361,6 +389,38 @@ class TestScenarioLoading:
         edit(data)
         with pytest.raises(ScenarioError, match=re.escape(field)):
             write_scenario(data)
+
+    def test_optional_fields_take_their_dataclass_defaults(self, write_scenario):
+        data = tiny_scenario_dict()
+        sc = write_scenario({
+            "agents": data["agents"],
+            "obstacles": [],
+            "sim": {k: data["sim"][k] for k in ("dt", "max_time", "seeds")},
+            "task": {"mode": "single"},
+        })
+        assert sc.graph.edges == frozenset()
+        assert sc.costs == CostParams(1.0, 0.0, (), FinalCost(0.0, 2.0, 0.0))
+        assert sc.pi == PiParams(2000, 60, 1.0, 0.05, 0.025)
+        assert sc.sim.target_radius == 1.0
+        assert sc.sim.domain == ((-5.0, 45.0), (-5.0, 40.0))
+        for block in (sc.costs, sc.costs.final, sc.pi, sc.sim):
+            for field in dataclasses.fields(block):
+                if field.default is not dataclasses.MISSING:
+                    assert getattr(block, field.name) == field.default
+        assert write_scenario(tiny_scenario_dict()).obstacles[0].soft_cost == 160.0
+        composite = tiny_composite_dict()
+        del composite["task"]["kernel_width"]
+        assert write_scenario(composite).task.kernel_width == TaskSpec.kernel_width
+
+    def test_component_final_is_read_like_costs_final(self, write_scenario):
+        # A component without a final shares costs.final; a component's final
+        # is a whole terminal cost, its missing keys at the FinalCost defaults.
+        data = tiny_composite_dict()
+        data["costs"]["final"] = {"c": 0.5}
+        data["task"]["components"][0]["final"] = {"d": 3.0}
+        upper, lower = write_scenario(data).task.components
+        assert upper.final == FinalCost(c=0.0, d=3.0, alpha=0.0)
+        assert lower.final == FinalCost(c=0.5, d=2.0, alpha=0.0)
 
     def test_unknown_nested_key_rejected(self, write_scenario):
         data = tiny_scenario_dict()
@@ -476,8 +536,8 @@ class TestTaskView:
         (comp,) = components
         np.testing.assert_array_equal(comp.targets, targets)
         c = tiny_scenario.costs
-        assert (comp.final_c, comp.final_d, comp.final_alpha) == (
-            c.final_c, c.final_d, c.final_alpha
+        assert (comp.final.c, comp.final.d, comp.final.alpha) == (
+            c.final.c, c.final.d, c.final.alpha
         )
 
     def test_composite_view_is_new_targets_and_components(self, tiny_composite):
@@ -548,7 +608,7 @@ class TestSubsystemPlumbing:
         phi = subsystem_final_cost(tiny_composite, sub, comp)
         x = np.array([14.0, 11.0, 2.5, 0.0])
         expected = final_cost(
-            x, comp.targets[0], comp.final_c, comp.final_d, comp.final_alpha
+            x, comp.targets[0], comp.final.c, comp.final.d, comp.final.alpha
         )
         np.testing.assert_allclose(phi(x), expected, rtol=1e-12)
         prob = subsystem_problem(tiny_composite, sub, comp.targets, phi)
