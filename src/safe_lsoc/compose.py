@@ -36,10 +36,6 @@ class CompositionWeights:
     normalized: np.ndarray
     log_normalized: np.ndarray  # log of normalized, finite where it underflows
 
-    @property
-    def n_components(self) -> int:
-        return len(self.normalized)
-
 
 def composition_weights(
     component_targets: Sequence[np.ndarray],
@@ -92,7 +88,7 @@ def composite_final_cost(
     phi(x) = -lam log sum_f w_f exp(-phi_f(x)/lam), evaluated with the usual
     max-shift so a single dominant component never overflows.
     """
-    if len(component_final_costs) != weights.n_components:
+    if len(component_final_costs) != len(weights.normalized):
         raise ValueError("one final cost per component required")
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -122,7 +118,7 @@ def state_weights(
     Z underflows as a float.
     """
     log_z = np.asarray(log_z_values, dtype=float)
-    if log_z.shape != (weights.n_components,):
+    if log_z.shape != (len(weights.normalized),):
         raise ValueError("one desirability estimate per component required")
     if np.any(np.isnan(log_z)) or np.any(log_z == np.inf):
         raise ValueError("log desirabilities must be finite or -inf")

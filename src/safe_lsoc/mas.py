@@ -9,7 +9,7 @@ the agents are physically decoupled; coupling enters through the running cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,19 +83,9 @@ def build_subsystems(graph: AgentGraph) -> list[FactorialSubsystem]:
     ]
 
 
-def assemble_joint(
-    sub: FactorialSubsystem,
-    states: Mapping[int, np.ndarray] | Sequence[np.ndarray],
-) -> np.ndarray:
+def assemble_joint(sub: FactorialSubsystem, states: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate member states in block order."""
-    parts = []
-    for agent in sub.members:
-        try:
-            s = states[agent]
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"missing state for agent {agent}") from exc
-        parts.append(np.asarray(s, dtype=float))
-    return np.concatenate(parts)
+    return np.concatenate([states[a] for a in sub.members])
 
 
 def joint_dynamics(dyn: ControlAffineDynamics, n_members: int) -> ControlAffineDynamics:

@@ -23,7 +23,6 @@ from .compose import CompositionWeights, composition_weights
 from .lsoc import (
     BallBoundary,
     BoxBoundary,
-    FirstExitDomain,
     LsocProblem,
     RolloutBatch,
     UnionDomain,
@@ -150,15 +149,6 @@ def disc_barriers(
     return np.stack([h0, h1], axis=-1), a, b
 
 
-def _obstacle_penalty(
-    pos: np.ndarray, obstacles: Sequence[Obstacle]
-) -> np.ndarray:
-    pen = np.zeros(np.asarray(pos).shape[:-1])
-    for ob in obstacles:
-        pen = pen + ob.soft_cost * ob.contains(pos)
-    return pen
-
-
 def running_cost_coop(
     joint_states: np.ndarray,
     member_targets: np.ndarray,
@@ -185,7 +175,10 @@ def running_cost_coop(
             np.linalg.norm(pos0 - pos_j, axis=-1) - d_pair
         )
     q = np.maximum(q, 0.0)
-    return q + _obstacle_penalty(pos0, obstacles)
+    pen = np.zeros(pos0.shape[:-1])
+    for ob in obstacles:
+        pen = pen + ob.soft_cost * ob.contains(pos0)
+    return q + pen
 
 
 def final_cost(
@@ -549,25 +542,34 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
 def validate_physics(sc: Scenario) -> None:
     """Reject setups the solver cannot honestly run."""
     (xlo, xhi), (ylo, yhi) = sc.sim.domain
+
+    def in_box(path: str, point: np.ndarray) -> None:
+        if not (xlo < point[0] < xhi and ylo < point[1] < yhi):
+            raise ScenarioError(f"{path}: outside the domain box")
+
     targets, components = sc.task_view()
-    all_targets = [a.target for a in sc.agents]
-    all_targets.extend(t for comp in components for t in comp.targets)
-    all_targets.extend(targets)
     for i, a in enumerate(sc.agents):
-        px, py = a.start[0], a.start[1]
-        if not (xlo < px < xhi and ylo < py < yhi):
-            raise ScenarioError(f"agents[{i}].start: outside the domain box")
+        in_box(f"agents[{i}].start", a.start)
         if np.linalg.norm(a.start[:2] - targets[i]) <= sc.sim.target_radius:
             raise ScenarioError(
                 f"agents[{i}].start: within sim.target_radius of its target"
             )
-    for t in all_targets:
-        if not (xlo < t[0] < xhi and ylo < t[1] < yhi):
-            raise ScenarioError("target outside the domain box")
+    # Each target point once: a plain task's run targets are the agents' own.
+    points = [(f"agents[{i}].target", a.target) for i, a in enumerate(sc.agents)]
+    if sc.task.mode == "composite":
+        points += [
+            (f"task.components[{f}].targets (agent {i})", t)
+            for f, comp in enumerate(components)
+            for i, t in enumerate(comp.targets)
+        ]
+        points += [(f"task.new_target (agent {i})", t) for i, t in enumerate(targets)]
+    for path, t in points:
+        in_box(path, t)
         for j, ob in enumerate(sc.obstacles):
-            if np.linalg.norm(np.asarray(t) - np.asarray(ob.center)) <= ob.keepout_radius:
+            if np.linalg.norm(t - np.asarray(ob.center)) <= ob.keepout_radius:
                 raise ScenarioError(
-                    f"target {tuple(t)} lies inside obstacle {j}'s keep-out disc"
+                    f"{path}: ({float(t[0])}, {float(t[1])}) lies inside "
+                    f"obstacle {j}'s keep-out disc"
                 )
 
     discs = obstacle_discs(sc.obstacles)
@@ -582,21 +584,6 @@ def validate_physics(sc: Scenario) -> None:
 
 
 # Scenario -> solver plumbing ------------------------------------------------
-
-
-def subsystem_domain(sc: Scenario, target: np.ndarray) -> FirstExitDomain:
-    """Exit set for one subsystem: central target ball or arena box exit."""
-    (xlo, xhi), (ylo, yhi) = sc.sim.domain
-    return UnionDomain(
-        parts=[
-            BallBoundary(
-                dims=(0, 1),
-                center=np.asarray(target, dtype=float),
-                radius=sc.sim.target_radius,
-            ),
-            BoxBoundary(dims=(0, 1), lower=np.array([xlo, ylo]), upper=np.array([xhi, yhi])),
-        ]
-    )
 
 
 def subsystem_cost_terms(
@@ -628,35 +615,6 @@ def subsystem_cost_terms(
         pair_blocks.append((sub.block(other), d_pair))
     goal_weight = sc.costs.goal_weight if pair_blocks else 1.0
     return member_targets, d_max, pair_blocks, goal_weight
-
-
-def subsystem_running_cost(
-    sc: Scenario,
-    sub: FactorialSubsystem,
-    targets: np.ndarray,
-):
-    """Running-cost closure for one subsystem against the given agent targets.
-
-    targets is the full (n_agents, 2) per-agent target array; the terms come
-    from subsystem_cost_terms.
-    """
-    member_targets, d_max, pair_blocks, goal_weight = subsystem_cost_terms(
-        sc, sub, targets
-    )
-    obstacles = sc.obstacles
-
-    def q(x: np.ndarray) -> np.ndarray:
-        return running_cost_coop(
-            x,
-            member_targets,
-            d_max,
-            pair_blocks,
-            goal_weight,
-            sc.costs.pair_weight,
-            obstacles,
-        )
-
-    return q
 
 
 def subsystem_final_cost(sc: Scenario, sub: FactorialSubsystem, comp: ComponentSpec):
@@ -707,15 +665,23 @@ def subsystem_problem(
 ) -> LsocProblem:
     """First-exit problem one agent solves over its factorial subsystem.
 
-    final_cost is the terminal cost the rollouts are scored with, as built
-    by subsystem_final_cost.
+    The running cost is running_cost_coop with the terms of
+    subsystem_cost_terms; final_cost is the terminal cost the rollouts are
+    scored with, as built by subsystem_final_cost.  The exit set is the
+    central agent's target ball (parts[0]) or leaving the arena box.
     """
-    targets = np.asarray(targets, dtype=float)
+    terms = subsystem_cost_terms(sc, sub, targets)
+    (xlo, xhi), (ylo, yhi) = sc.sim.domain
     return LsocProblem(
         dynamics=joint_dynamics(sc.agent_dynamics(), sub.size),
-        running_cost=subsystem_running_cost(sc, sub, targets),
+        running_cost=lambda x: running_cost_coop(
+            x, *terms, sc.costs.pair_weight, sc.obstacles
+        ),
         final_cost=final_cost,
-        domain=subsystem_domain(sc, targets[sub.central]),
+        domain=UnionDomain([
+            BallBoundary((0, 1), terms[0][0], sc.sim.target_radius),
+            BoxBoundary((0, 1), np.array([xlo, ylo]), np.array([xhi, yhi])),
+        ]),
         lam=sc.pi.temperature,
     )
 

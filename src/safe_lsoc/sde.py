@@ -8,7 +8,7 @@ reproduces the same draws regardless of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,19 +79,17 @@ class ControlAffineDynamics:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseStream:
     """Deterministic Gaussian increment source keyed by (seed, stream_id).
 
-    Two streams constructed with the same ids yield identical draw sequences;
-    distinct stream_ids give statistically independent sequences.
+    Each generator() call starts the stream's sequence afresh, so two calls
+    on one key, or on two equal keys, draw identical values; distinct
+    stream_ids give statistically independent sequences.
     """
 
     seed: int
     stream_id: int = 0
-    _gen: np.random.Generator | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -100,15 +98,11 @@ class NoiseStream:
             raise ValueError("stream_id must be non-negative")
 
     def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            ss = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(self.stream_id,)
-            )
-            self._gen = np.random.Generator(np.random.Philox(ss))
-        return self._gen
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.Philox(ss))
 
     def child(self, kind: int, agent: int = 0, step: int = 0) -> "NoiseStream":
-        """Fresh stream for a sub-task; independent of draws made on self."""
+        """Key of a sub-task's stream, independent of the stream of self."""
         return NoiseStream(self.seed, derive_stream_id(kind, agent, step))
 
 

@@ -263,13 +263,21 @@ class TestValidateCommand:
 
 
 def test_console_entry_point_runs():
+    import os
     import subprocess
     import sys
 
+    # The package need not be installed: the checkout's src is put on the path.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "safe_lsoc.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "compose" in proc.stdout

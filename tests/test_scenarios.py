@@ -31,7 +31,6 @@ from safe_lsoc.scenarios import (
     subsystem_composition_weights,
     subsystem_final_cost,
     subsystem_problem,
-    subsystem_running_cost,
     uav_drift,
     uav_dynamics,
 )
@@ -390,6 +389,45 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=re.escape(field)):
             write_scenario(data)
 
+    @pytest.mark.parametrize(
+        "message, edit",
+        [
+            (
+                "task.components[1].targets (agent 0): outside the domain box",
+                lambda d: d["task"]["components"][1].update(targets=[30.0, 4.0]),
+            ),
+            (
+                "task.components[1].targets (agent 0): (8.0, 14.5) lies inside "
+                "obstacle 0's keep-out disc",
+                lambda d: d["task"]["components"][1].update(targets=[[8.0, 14.5]]),
+            ),
+            (
+                "task.new_target (agent 0): outside the domain box",
+                lambda d: d["task"].update(new_target=[14.0, 25.0]),
+            ),
+            (
+                "task.new_target (agent 0): (8.5, 14.0) lies inside "
+                "obstacle 0's keep-out disc",
+                lambda d: d["task"].update(new_target=[8.5, 14.0]),
+            ),
+            (
+                "agents[0].target: (8.0, 13.0) lies inside obstacle 0's keep-out disc",
+                lambda d: d["agents"][0].update(target=[8.0, 13.0]),
+            ),
+        ],
+        ids=[
+            "component_outside_box", "component_in_disc", "new_target_outside_box",
+            "new_target_in_disc", "agent_target_in_disc",
+        ],
+    )
+    def test_composite_target_rejected_with_its_path(
+        self, write_scenario, message, edit
+    ):
+        data = tiny_composite_dict()
+        edit(data)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            write_scenario(data)
+
     def test_optional_fields_take_their_dataclass_defaults(self, write_scenario):
         data = tiny_scenario_dict()
         sc = write_scenario({
@@ -471,7 +509,9 @@ class TestScenarioLoading:
         data = tiny_scenario_dict()
         data["agents"][0]["target"] = [24.0, 19.5]
         data["sim"]["domain"] = [[-5.0, 20.0], [-5.0, 20.0]]
-        with pytest.raises(ScenarioError, match="target outside"):
+        with pytest.raises(
+            ScenarioError, match=re.escape("agents[0].target: outside the domain box")
+        ):
             write_scenario(data)
 
     @pytest.mark.parametrize(
@@ -574,7 +614,7 @@ class TestSubsystemPlumbing:
     def test_running_cost_zero_at_start(self, tiny_scenario):
         sub = build_subsystems(tiny_scenario.graph)[0]
         targets = np.array([a.target for a in tiny_scenario.agents])
-        q = subsystem_running_cost(tiny_scenario, sub, targets)
+        q = subsystem_problem(tiny_scenario, sub, targets, None).running_cost
         assert float(np.asarray(q(tiny_scenario.agents[0].start))) == 0.0
 
     def test_coop_running_cost_zero_at_joint_start(self, bundled):
@@ -585,7 +625,7 @@ class TestSubsystemPlumbing:
             joint0 = np.concatenate(
                 [sc.agents[m].start for m in sub.members]
             )
-            q = subsystem_running_cost(sc, sub, targets)
+            q = subsystem_problem(sc, sub, targets, None).running_cost
             assert float(np.asarray(q(joint0))) == 0.0
 
     def test_problem_assembly_respects_lambda(self, tiny_scenario):
