@@ -12,6 +12,7 @@ for a given scenario and seed; wall-clock time lives only in metrics.json.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -125,9 +126,9 @@ def _run_closed_loop(
     """Drive every agent toward the run's targets with a mix of component controls.
 
     The targets and components come from sc.task_view().  Each agent draws
-    one rollout batch per step under the first component's terminal cost;
-    that component uses the batch's own path costs and every other
-    component re-scores the batch with its terminal cost.  A lone
+    one rollout batch per step, and every component scores the batch with
+    its own terminal cost; the batch integrates on a helper thread while
+    this thread draws the next batch's noise (see _integrator).  A lone
     component's raw control is the unfiltered estimate.  Several components
     are each pre-filtered, so their convex mixture under the kernel and
     desirability weights is already feasible; the mixture then passes the
@@ -176,67 +177,84 @@ def _run_closed_loop(
 
     # Per subsystem: the rollout sampler for the run's targets, one terminal
     # cost per component, and the task-similarity weights of the components.
-    samplers = []
-    comp_final = []
-    mix_weights = []
-    for sub in subsystems:
-        finals = [subsystem_final_cost(sc, sub, comp) for comp in components]
-        samplers.append(subsystem_rollouts(sc, sub, targets, finals[0]))
-        comp_final.append(finals)
-        mix_weights.append(subsystem_composition_weights(sc, sub))
+    samplers = [subsystem_rollouts(sc, sub, targets) for sub in subsystems]
+    comp_final = [
+        [subsystem_final_cost(sc, sub, comp) for comp in components]
+        for sub in subsystems
+    ]
+    mix_weights = [subsystem_composition_weights(sc, sub) for sub in subsystems]
 
-    for k in range(max_steps):
-        active = [i for i, f in enumerate(finished) if f is None]
-        if not active:
-            break
-        # Every active agent estimates from the same states, then each moves.
-        for i in active:
-            sub = subsystems[i]
-            joint = assemble_joint(sub, x)
-            batch = samplers[i](joint, base.child(KIND_ROLLOUT, i, k))
-            scored = [batch] + [
-                dataclasses.replace(
-                    batch, path_costs=batch.running_costs + phi(batch.exit_states)
+    # While an agent-step's batch integrates, this thread draws the noise of
+    # the next agent-step in loop order: the next active agent, or the first
+    # active agent of step k + 1.  Noise drawn for a key that does not come
+    # next after all (an agent finished, or the run halted) is dropped.  Each
+    # stream is keyed by (seed, agent, step), so no byte depends on which
+    # thread computes what, or when.
+    next_stream = next_dw = None
+    with _integrator() as start:
+        for k in range(max_steps):
+            active = [i for i, f in enumerate(finished) if f is None]
+            if not active:
+                break
+            # Every active agent estimates from the same states, then each moves.
+            for slot, i in enumerate(active):
+                stream = base.child(KIND_ROLLOUT, i, k)
+                dw = next_dw if stream == next_stream else samplers[i].draw(stream)
+                joint = assemble_joint(subsystems[i], x)
+                integrated = start(samplers[i].integrate, joint, dw)
+                if slot + 1 < len(active):
+                    nk, ni = k, active[slot + 1]
+                else:
+                    nk, ni = k + 1, active[0]
+                next_stream = next_dw = None
+                if nk < max_steps:
+                    next_stream = base.child(KIND_ROLLOUT, ni, nk)
+                    next_dw = samplers[ni].draw(next_stream)
+                batch = integrated()
+                ests = [
+                    estimate_optimal_control(batch.scored(phi), lam)
+                    for phi in comp_final[i]
+                ]
+                # Block 0 is the central agent, the only block it applies.
+                u_components = [est.control[:UAV_INPUTS] for est in ests]
+                w = state_weights(
+                    mix_weights[i], [est.log_desirability for est in ests]
                 )
-                for phi in comp_final[i][1:]
-            ]
-            ests = [estimate_optimal_control(b, lam) for b in scored]
-            # Block 0 is the central agent, the only block it applies.
-            u_components = [est.control[:UAV_INPUTS] for est in ests]
-            w = state_weights(mix_weights[i], [est.log_desirability for est in ests])
-            if filtered:
-                a_mat, b_vec = a_all[i], b_all[i]
-                try:
-                    if len(u_components) > 1:
-                        u_components = [
-                            safety_filter(u, a_mat, b_vec) for u in u_components
-                        ]
-                    raw[k, i] = composite_control(w, u_components)
-                    applied[k, i] = safety_filter(raw[k, i], a_mat, b_vec)
-                except SafetyInfeasible as exc:
-                    infeasible_agent = i
-                    infeasible_constraints = tuple(int(j) for j in exc.constraint_ids)
-                    break
-            else:
-                raw[k, i] = applied[k, i] = composite_control(w, u_components)
-            ess[k, i] = min(est.effective_sample_size for est in ests)
-            weights[k, i] = w
-        if infeasible_agent is not None:
-            finished = [f or EXIT_INFEASIBLE for f in finished]
-            break
-        for i in active:
-            dw = sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
-            x[i] = em_step(dyn, x[i], applied[k, i], dt, dw)
-            states[k + 1, i] = x[i]
-            steps[i] += 1
-            if reached(i):
-                finished[i] = EXIT_TARGET
-            elif not (xlo < x[i][0] < xhi and ylo < x[i][1] < yhi):
-                # Leaving the arena is a failed run; recorded as a timeout
-                # since the exit-reason vocabulary is fixed.
-                finished[i] = EXIT_MAX_TIME
-        # A finished agent's rows past its last step are never read.
-        h[k + 1], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
+                if filtered:
+                    a_mat, b_vec = a_all[i], b_all[i]
+                    try:
+                        if len(u_components) > 1:
+                            u_components = [
+                                safety_filter(u, a_mat, b_vec) for u in u_components
+                            ]
+                        raw[k, i] = composite_control(w, u_components)
+                        applied[k, i] = safety_filter(raw[k, i], a_mat, b_vec)
+                    except SafetyInfeasible as exc:
+                        infeasible_agent = i
+                        infeasible_constraints = tuple(
+                            int(j) for j in exc.constraint_ids
+                        )
+                        break
+                else:
+                    raw[k, i] = applied[k, i] = composite_control(w, u_components)
+                ess[k, i] = min(est.effective_sample_size for est in ests)
+                weights[k, i] = w
+            if infeasible_agent is not None:
+                finished = [f or EXIT_INFEASIBLE for f in finished]
+                break
+            for i in active:
+                dw = sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
+                x[i] = em_step(dyn, x[i], applied[k, i], dt, dw)
+                states[k + 1, i] = x[i]
+                steps[i] += 1
+                if reached(i):
+                    finished[i] = EXIT_TARGET
+                elif not (xlo < x[i][0] < xhi and ylo < x[i][1] < yhi):
+                    # Leaving the arena is a failed run; recorded as a timeout
+                    # since the exit-reason vocabulary is fixed.
+                    finished[i] = EXIT_MAX_TIME
+            # A finished agent's rows past its last step are never read.
+            h[k + 1], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
 
     records = [
         AgentRecord(
@@ -272,16 +290,17 @@ def run_seeds(
     """Run the seeds in one pool of worker processes; results in seed order.
 
     One worker per seed, up to the CPUs this process may run on (so
-    `taskset` limits it).  One seed or one usable CPU runs in this
-    process.  The workers are forked, so sc and runner reach them without
-    pickling; where fork is unavailable the seeds run here one after
-    another.  A run's bytes do not depend on the process that runs it.  A
-    seed's exception is re-raised with its type and a note naming the
-    seed, the seeds not yet started are cancelled, and no worker outlives
-    the call.
+    `taskset` limits it), and each worker's runs use its share of those
+    CPUs.  One seed or one usable CPU runs in this process.  The workers
+    are forked, so sc and runner reach them without pickling; where fork
+    is unavailable the seeds run here one after another.  A run's bytes do
+    not depend on the process that runs it.  A seed's exception is
+    re-raised with its type and a note naming the seed, the seeds not yet
+    started are cancelled, and no worker outlives the call.
     """
     seeds = list(seeds)
-    workers = min(_usable_cpus(), len(seeds))
+    cpus = _usable_cpus()
+    workers = min(cpus, len(seeds))
     if workers > 1:
         # Imported here: the pool costs a fifth of the package's import time.
         import multiprocessing
@@ -294,7 +313,7 @@ def run_seeds(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_set_job,
-                initargs=(sc, mode, runner),
+                initargs=(sc, mode, runner, cpus // workers),
             )
             try:
                 futures = [pool.submit(_run_job, s) for s in seeds]
@@ -304,6 +323,30 @@ def run_seeds(
     return [runner(sc, s, mode=mode) for s in seeds]
 
 
+@contextlib.contextmanager
+def _integrator():
+    """Yield start(fn, *args), which returns a call that gives fn(*args).
+
+    fn runs on one helper thread, so the caller can work while it runs; the
+    thread is joined when the block exits, however it exits.  With one CPU
+    for the run, as with one usable CPU or in a pool worker of run_seeds
+    whose pool fills every CPU, fn runs at once in this thread.
+    """
+    if _run_cpus() == 1:
+        def start(fn, *args):
+            out = fn(*args)
+            return lambda: out
+
+        yield start
+        return
+    # Imported here, as run_seeds imports its pool: importing the package
+    # stays as fast as before.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="safe-lsoc-rollouts") as pool:
+        yield lambda fn, *args: pool.submit(fn, *args).result
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -311,18 +354,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The (sc, mode, runner) of a worker process, set once when it starts.
+# The (sc, mode, runner, cpus) of a worker process, set once when it
+# starts; cpus is the worker's share of the usable CPUs.
 _job: tuple | None = None
 
 
-def _set_job(sc: Scenario, mode: str, runner: Callable[..., RunResult]) -> None:
+def _set_job(
+    sc: Scenario, mode: str, runner: Callable[..., RunResult], cpus: int
+) -> None:
     global _job
-    _job = (sc, mode, runner)
+    _job = (sc, mode, runner, cpus)
 
 
 def _run_job(seed: int) -> RunResult:
-    sc, mode, runner = _job
+    sc, mode, runner, _ = _job
     return runner(sc, seed, mode=mode)
+
+
+def _run_cpus() -> int:
+    """CPUs one run may use: every usable one, or its pool worker's share."""
+    return _job[3] if _job is not None else _usable_cpus()
 
 
 def _result(future, seed: int) -> RunResult:
@@ -529,29 +580,39 @@ def margin_sweep(
     margins: Sequence[float],
     seeds: Sequence[int] | None = None,
 ) -> list[SweepRow]:
-    """Re-run the scenario at each commanded margin, both control modes."""
+    """Re-run the scenario at each commanded margin, both control modes.
+
+    Every margin's obstacles are validated before the first run; the error
+    of an invalid one names the margin.
+    """
     if sc.task.mode != "single":
         raise ScenarioError("margin sweep requires a single-task scenario")
     seeds = list(seeds if seeds is not None else sc.sim.seeds)
-    rows = []
-    for margin in margins:
+    variants = []
+    for margin in map(float, margins):
         obstacles = tuple(
-            dataclasses.replace(ob, margin=float(margin)) for ob in sc.obstacles
+            dataclasses.replace(ob, margin=margin) for ob in sc.obstacles
         )
         sc_m = dataclasses.replace(sc, obstacles=obstacles)
-        validate_physics(sc_m)
+        try:
+            validate_physics(sc_m)
+        except ScenarioError as exc:
+            raise ScenarioError(f"--margins {margin}: {exc}") from exc
+        variants.append((margin, sc_m))
+    rows = []
+    for margin, sc_m in variants:
         for mode in (MODE_BASELINE, MODE_FILTERED):
             for res in run_seeds(sc_m, seeds, mode=mode):
                 metrics = compute_metrics(res, sc_m)
                 for j, ob in enumerate(sc_m.obstacles):
                     rows.append(
                         SweepRow(
-                            margin=float(margin),
+                            margin=margin,
                             seed=res.seed,
                             mode=mode,
                             obstacle=j,
                             min_center_distance=metrics["min_center_distance"][j],
-                            threshold=ob.radius + float(margin),
+                            threshold=ob.radius + margin,
                         )
                     )
     return rows

@@ -18,7 +18,7 @@ callers read Z as exp(log_desirability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,8 +148,9 @@ class LsocProblem:
 class RolloutBatch:
     """K passive-dynamics rollouts from one start state.
 
-    path_costs[k] = running_costs[k] + final_cost(exit_states[k]); dw0 holds
-    the first-step Brownian increments used for control extraction.
+    path_costs[k] = running_costs[k] + final_cost(exit_states[k]), with a
+    zero final cost on a batch not yet scored; dw0 holds the first-step
+    Brownian increments used for control extraction.
     """
 
     dt: float
@@ -163,6 +164,11 @@ class RolloutBatch:
     @property
     def n_rollouts(self) -> int:
         return self.dw0.shape[0]
+
+    def scored(self, final_cost: Callable[[np.ndarray], np.ndarray]) -> "RolloutBatch":
+        """This batch with path_costs = running_costs + final_cost(exit_states)."""
+        phi = np.asarray(final_cost(self.exit_states), dtype=float)
+        return replace(self, path_costs=self.running_costs + phi)
 
 
 def rollout_batch(

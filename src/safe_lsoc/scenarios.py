@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -686,21 +686,37 @@ def subsystem_problem(
     )
 
 
+class RolloutSampler(NamedTuple):
+    """The two stages of a subsystem's rollout batch.
+
+    draw(stream) returns the batch's noise, a (horizon, K, 2 * n_members)
+    array; integrate(x0, dw) runs the horizon from the joint state x0 on
+    that noise.  The stages share no state, so a caller may draw one
+    batch's noise while another batch integrates.
+    """
+
+    draw: Callable[[NoiseStream], np.ndarray]
+    integrate: Callable[[np.ndarray, np.ndarray], RolloutBatch]
+
+    def sample(self, x0: np.ndarray, stream: NoiseStream) -> RolloutBatch:
+        return self.integrate(x0, self.draw(stream))
+
+
 def subsystem_rollouts(
     sc: Scenario,
     sub: FactorialSubsystem,
     targets: np.ndarray,
-    final_cost: Callable[[np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray, NoiseStream], RolloutBatch]:
+) -> RolloutSampler:
     """Rollout sampler of one subsystem; the closed loop's only sampler.
 
-    The returned sample(x0, stream) computes what rollout_batch on
-    subsystem_problem(sc, sub, targets, final_cost) computes with the run's
-    dt, horizon and rollout count, bit for bit, for the stacked unicycles
-    the schema describes.  It checks no input: the loader and em_step
-    guarantee them, and rollout_batch is the checked oracle.  The state is
-    one (4, n_members, K) array of x, y, v, phi rows.  The input and noise
-    matrices only add sigma * dw to v and phi, distances are
+    The returned sample(x0, stream), scored with a terminal cost phi,
+    computes what rollout_batch on subsystem_problem(sc, sub, targets, phi)
+    computes with the run's dt, horizon and rollout count, bit for bit, for
+    the stacked unicycles the schema describes.  Unscored, a batch's
+    path_costs are its running costs.  It checks no input: the loader and
+    em_step guarantee them, and rollout_batch is the checked oracle.  The
+    state is one (4, n_members, K) array of x, y, v, phi rows.  The input
+    and noise matrices only add sigma * dw to v and phi, distances are
     sqrt(dx*dx + dy*dy) as np.linalg.norm forms them, and disc penalties
     add in obstacle order.  A path stops at the target ball or the arena
     box of the central agent; a stopped path keeps its state, and a box
@@ -732,11 +748,13 @@ def subsystem_rollouts(
         out = (pos <= lower) | (pos >= upper)
         return (d2 <= ball_r2) | out[0] | out[1]
 
-    def sample(x0: np.ndarray, stream: NoiseStream) -> RolloutBatch:
-        start = np.asarray(x0, dtype=float).reshape(n, UAV_DIM).T[:, :, None]
-        dw = stream.generator().normal(
+    def draw(stream: NoiseStream) -> np.ndarray:
+        return stream.generator().normal(
             0.0, np.sqrt(dt), size=(horizon, n_rollouts, 2 * n)
         )
+
+    def integrate(x0: np.ndarray, dw: np.ndarray) -> RolloutBatch:
+        start = np.asarray(x0, dtype=float).reshape(n, UAV_DIM).T[:, :, None]
         state = np.repeat(start, n_rollouts, axis=2)
         pos, v_phi = state[0:2], state[2:4]  # (x, y) and (v, phi) rows
         pos0 = state[0:2, 0]  # the central agent's position, a view
@@ -799,10 +817,10 @@ def subsystem_rollouts(
             exit_states=exit_states,
             exit_steps=exit_steps,
             running_costs=running,
-            path_costs=running + np.asarray(final_cost(exit_states), dtype=float),
+            path_costs=running,
         )
 
-    return sample
+    return RolloutSampler(draw, integrate)
 
 
 def bundled_scenario_path(name: str) -> Path:

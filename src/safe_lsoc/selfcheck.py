@@ -458,11 +458,12 @@ def rollout_kernel_check(n_starts: int = 8) -> CheckResult:
     For every subsystem of every bundled scenario, subsystem_rollouts and
     rollout_batch on subsystem_problem draw from the same stream at the
     joint start and at n_starts starts that reach the target ball or the
-    arena box within the horizon (see _exit_starts).  The terminal cost is
-    the one the closed loop samples with.  Passes when all five batch
-    arrays are equal bit for bit, the batches cover subsystems of one, two
-    and three members, both exits occur, and some batch stops part of its
-    paths early while the rest run on.
+    arena box within the horizon (see _exit_starts).  The kernel's batch
+    goes through the draw and integrate stages the closed loop runs and is
+    scored as the loop scores its first component.  Passes when all five
+    batch arrays are equal bit for bit, the batches cover subsystems of
+    one, two and three members, both exits occur, and some batch stops
+    part of its paths early while the rest run on.
     """
     seed = 13
     rng = np.random.default_rng(seed)
@@ -476,12 +477,12 @@ def rollout_kernel_check(n_starts: int = 8) -> CheckResult:
         dt, horizon, k_rollouts = sc.sim.dt, sc.pi.horizon_steps, sc.pi.rollouts
         for sub in build_subsystems(sc.graph):
             phi = subsystem_final_cost(sc, sub, components[0])
-            kernel = subsystem_rollouts(sc, sub, targets, phi)
+            kernel = subsystem_rollouts(sc, sub, targets)
             problem = subsystem_problem(sc, sub, targets, phi)
             ball = problem.domain.parts[0]
             for k, x0 in enumerate(_exit_starts(sc, sub, targets, rng, n_starts)):
                 fresh = partial(NoiseStream(seed).child, 5, sub.central, k)
-                got = kernel(x0, fresh())
+                got = kernel.sample(x0, fresh()).scored(phi)
                 want = rollout_batch(problem, x0, dt, horizon, k_rollouts, fresh())
                 for attr in BATCH_ARRAYS:
                     a, b = getattr(got, attr), getattr(want, attr)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import safe_lsoc.selfcheck
-from safe_lsoc import cli
+from safe_lsoc import cli, harness
 from safe_lsoc.harness import RunResult, run_task
 from safe_lsoc.sde import EXIT_INFEASIBLE
 
@@ -164,6 +164,22 @@ class TestSweepCommand:
         closing = out.splitlines()[-2:]
         assert [line.split()[0] for line in closing] == ["[baseline]", "[filtered]"]
         assert all(line.endswith("/1 rows short") for line in closing)
+
+    def test_invalid_margin_fails_before_any_run(
+        self, tiny_path, monkeypatch, capsys
+    ):
+        # A keep-out radius of 2 + 10 covers the target: the last margin is
+        # rejected before the first margin's runs.
+        calls = []
+        monkeypatch.setattr(
+            harness, "run_seeds", lambda *args, **kwargs: calls.append(args)
+        )
+        code = cli.main(
+            ["sweep", str(tiny_path), "--margins", "0.5,10", "--seeds", "0"]
+        )
+        assert code == cli.EXIT_INVALID
+        assert calls == []
+        assert "error: --margins 10.0: agents[0].target" in capsys.readouterr().err
 
     def test_bad_margins(self, tiny_path, capsys):
         for margins in ("1.0,-2", "nan", "inf", "0.5,-inf"):

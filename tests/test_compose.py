@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -268,7 +266,7 @@ class TestExactComposition:
             phi = composite_final_cost(
                 finals, subsystem_composition_weights(sc, sub), lam
             )
-            sample = subsystem_rollouts(sc, sub, targets, finals[0])
+            sample = subsystem_rollouts(sc, sub, targets).sample
             i = sub.central
             for k, u_mix in enumerate(res.agents[i].raw_controls):
                 # A finished agent holds its last state.
@@ -279,10 +277,7 @@ class TestExactComposition:
                 batch = sample(
                     assemble_joint(sub, states),
                     NoiseStream(0).child(KIND_ROLLOUT, i, k),
-                )
-                batch = dataclasses.replace(
-                    batch, path_costs=batch.running_costs + phi(batch.exit_states)
-                )
+                ).scored(phi)
                 u = estimate_optimal_control(batch, lam).control[:UAV_INPUTS]
                 worst = max(
                     worst, float(np.linalg.norm(u_mix - u) / np.linalg.norm(u))

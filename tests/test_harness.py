@@ -7,6 +7,8 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -182,6 +184,23 @@ class TestRunSeeds:
             run_seeds(tiny_scenario, [0, 1, 2], runner=runner)
         assert exc.value.__notes__ == ["seed 1"]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, run_cpus", [(2, 1), (4, 2)])
+    def test_pool_workers_integrate_inline_when_the_pool_fills_the_cpus(
+        self, tiny_scenario, monkeypatch, cpus, run_cpus
+    ):
+        # Two workers on two CPUs leave no CPU for a helper thread; on four
+        # CPUs each worker has two.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+        def runner(sc, seed, mode):
+            res = run_task(sc, seed, mode=mode)
+            res.run_cpus = harness._run_cpus()
+            return res
+
+        results = run_seeds(tiny_scenario, [0, 1], runner=runner)
+        assert [r.run_cpus for r in results] == [run_cpus, run_cpus]
+        assert harness._run_cpus() == cpus
 
     def test_one_seed_runs_in_this_process(self, tiny_scenario, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -404,10 +423,10 @@ class TestRawControlContract:
         sub = build_subsystems(sc.graph)[0]
         targets, (task,) = sc.task_view()
         final = subsystem_final_cost(sc, sub, task)
-        batch = subsystem_rollouts(sc, sub, targets, final)(
+        batch = subsystem_rollouts(sc, sub, targets).sample(
             assemble_joint(sub, [a.start for a in sc.agents]),
             NoiseStream(0).child(KIND_ROLLOUT, 0, 0),
-        )
+        ).scored(final)
         joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
         assert joint_u.shape == (4,)
         np.testing.assert_array_equal(res.agents[0].raw_controls[0], joint_u[:2])
@@ -447,9 +466,9 @@ class TestRawControlContract:
         joint = assemble_joint(
             sub, [res.agents[0].states[k], rec.states[-1]]
         )
-        batch = subsystem_rollouts(sc, sub, targets, final)(
+        batch = subsystem_rollouts(sc, sub, targets).sample(
             joint, NoiseStream(0).child(KIND_ROLLOUT, 0, k)
-        )
+        ).scored(final)
         joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
         np.testing.assert_array_equal(res.agents[0].raw_controls[k], joint_u[:2])
 
@@ -524,6 +543,97 @@ class TestInfeasibleHalt:
         assert rec.times[-1] == pytest.approx(
             4 * tiny_composite.sim.dt
         )
+
+
+def integration_threads(monkeypatch) -> list[int]:
+    """Record the thread of every integration stage the closed loop runs."""
+    threads = []
+    real = harness.subsystem_rollouts
+
+    def recording(sc, sub, targets):
+        sampler = real(sc, sub, targets)
+
+        def integrate(x0, dw):
+            threads.append(threading.get_ident())
+            return sampler.integrate(x0, dw)
+
+        return sampler._replace(integrate=integrate)
+
+    monkeypatch.setattr(harness, "subsystem_rollouts", recording)
+    return threads
+
+
+class TestRolloutPipeline:
+    """The helper thread that integrates while the next noise is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The helper thread runs whenever more than one CPU is usable.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    def test_no_thread_outlives_a_run(self, pair_scenario, monkeypatch):
+        threads = integration_threads(monkeypatch)
+        before = threading.enumerate()
+        res = run_task(pair_scenario, seed=0, mode="filtered")
+        assert threading.enumerate() == before
+        assert not res.halted_infeasible
+        # Two agents integrate at every step, never on this thread.
+        assert len(threads) == 2 * len(res.agents[0].controls)
+        assert threading.get_ident() not in threads
+
+    def test_no_thread_outlives_an_infeasible_halt(
+        self, pair_scenario, monkeypatch
+    ):
+        fail_filter_on_call(monkeypatch, 8)
+        before = threading.enumerate()
+        res = run_task(pair_scenario, seed=0, mode="filtered")
+        assert threading.enumerate() == before
+        assert res.infeasible_agent == 1
+
+    def test_integration_error_reaches_the_caller(
+        self, pair_scenario, monkeypatch
+    ):
+        real = harness.subsystem_rollouts
+        calls = [0]
+
+        def failing(sc, sub, targets):
+            sampler = real(sc, sub, targets)
+
+            def integrate(x0, dw):
+                calls[0] += 1
+                if calls[0] == 5:
+                    raise FloatingPointError("forced in the integration stage")
+                return sampler.integrate(x0, dw)
+
+            return sampler._replace(integrate=integrate)
+
+        monkeypatch.setattr(harness, "subsystem_rollouts", failing)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="integration stage"):
+            run_task(pair_scenario, seed=0, mode="filtered")
+        assert threading.enumerate() == before
+
+    def test_one_usable_cpu_integrates_inline_with_the_same_bytes(
+        self, pair_scenario, tmp_path, monkeypatch
+    ):
+        threads = integration_threads(monkeypatch)
+        csv_bytes = {}
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            del threads[:]
+            # Frequent thread switches interleave the draw and the
+            # integration as finely as the interpreter allows.
+            sys.setswitchinterval(1e-6)
+            try:
+                res = run_task(pair_scenario, seed=0, mode="filtered")
+            finally:
+                sys.setswitchinterval(interval)
+            path = write_trajectories_csv(res, tmp_path / f"cpus{cpus}.csv")
+            csv_bytes[cpus] = path.read_bytes()
+            inline = set(threads) == {threading.get_ident()}
+            assert inline == (cpus == 1)
+        assert csv_bytes[1] == csv_bytes[2]
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,15 @@ def test_module_exports_resolve(module):
     assert missing == []
 
 
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 RUN_PATH = """
 import sys
 from pathlib import Path
@@ -68,20 +77,33 @@ def test_run_path_imports_no_scipy(tmp_path):
     # exporting a scenario must not pull it in.  The worker pool of
     # run_seeds is imported only when a call runs seeds in parallel, so
     # importing the package and loading a scenario stays as fast as before.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [
             sys.executable, "-c", RUN_PATH,
             str(tmp_path), json.dumps(tiny_scenario_dict()),
         ],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "tiny_filtered_seed0_trajectories.csv").is_file()
+
+
+def test_import_leaves_out_the_pools():
+    # run_seeds imports its process pool and the closed loop its helper
+    # thread's executor only when a run needs them; the import of the
+    # package, timed as setup, pays for neither.
+    code = (
+        "import sys, safe_lsoc; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _program_files() -> list[Path]:
