@@ -44,6 +44,11 @@ def _resolve_scenario(token: str) -> Scenario:
     path = Path(token)
     if path.is_file():
         return load_scenario(path)
+    if token not in list_bundled_scenarios():
+        raise ScenarioError(
+            f"{token}: no such file and no bundled scenario of that name; "
+            f"available: {list_bundled_scenarios()}"
+        )
     return load_scenario(bundled_scenario_path(token), name=token)
 
 
@@ -63,6 +68,9 @@ def _parse_margins(raw: str) -> list[float]:
         raise ScenarioError(f"--margins: {exc}") from exc
     if not margins or not all(0 <= m < float("inf") for m in margins):
         raise ScenarioError("--margins: expected comma-separated finite numbers >= 0")
+    for k, m in enumerate(margins):
+        if m in margins[:k]:
+            raise ScenarioError(f"--margins[{k}]: duplicate margin {m}")
     return margins
 
 

@@ -212,7 +212,7 @@ def _run_closed_loop(
                     next_dw = samplers[ni].draw(next_stream)
                 batch = integrated()
                 ests = [
-                    estimate_optimal_control(batch.scored(phi), lam)
+                    estimate_optimal_control(batch, phi, lam)
                     for phi in comp_final[i]
                 ]
                 # Block 0 is the central agent, the only block it applies.

@@ -2,14 +2,15 @@
 
 Solves 0 = g . grad(Z) + 0.5 tr(B sigma sigma^T B^T hess(Z)) - q Z / lambda on
 a rectangular grid with Dirichlet data Z = exp(-phi/lambda) on boundary nodes.
-Drift terms are upwinded so the discrete operator is an M-matrix (for diagonal
-diffusion), which preserves the maximum principle the tests lean on. Used as
-an independent oracle for the Monte-Carlo estimator, not in the control loop.
+Drift terms are upwinded and diffusion must be diagonal, so the discrete
+operator is an M-matrix with the maximum principle the tests lean on. Used
+as an independent oracle for the Monte-Carlo estimator, not in the control loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -81,18 +82,24 @@ class GridSolution:
         return g if g.shape[0] > 1 else g[0]
 
 
-def grid_hjb_oracle(problem: LsocProblem, spec: GridSpec) -> GridSolution:
+def grid_hjb_oracle(
+    problem: LsocProblem, final_cost: Callable[[np.ndarray], np.ndarray], spec: GridSpec
+) -> GridSolution:
     """Solve the stationary linear desirability equation on the grid.
 
-    Nodes classified as boundary by the problem's domain get Dirichlet data;
-    the outer frame of the grid must be boundary (the grid has nothing beyond
-    it to difference against).
+    Nodes classified as boundary by the problem's domain get Dirichlet data
+    exp(-final_cost / lam); the outer frame of the grid must be boundary (the
+    grid has nothing beyond it to difference against).
     """
     dim = len(spec.shape)
     if problem.dynamics.state_dim != dim:
         raise ValueError(
             f"grid dimension {dim} != state dimension {problem.dynamics.state_dim}"
         )
+    bs = problem.dynamics.control_matrix @ problem.dynamics.noise_cov
+    d_mat = bs @ bs.T
+    if np.any(d_mat[~np.eye(dim, dtype=bool)]):
+        raise ValueError("grid oracle needs a diagonal B sigma sigma^T B^T")
     axes = spec.axes
     h = spec.spacing
     if dim == 1:
@@ -114,7 +121,7 @@ def grid_hjb_oracle(problem: LsocProblem, spec: GridSpec) -> GridSolution:
 
     z_flat = np.zeros(n_nodes)
     z_flat[on_boundary] = np.exp(
-        -np.asarray(problem.final_cost(nodes[on_boundary]), dtype=float)
+        -np.asarray(final_cost(nodes[on_boundary]), dtype=float)
         / problem.lam
     )
 
@@ -126,8 +133,6 @@ def grid_hjb_oracle(problem: LsocProblem, spec: GridSpec) -> GridSolution:
 
     drift = np.asarray(problem.dynamics.drift(nodes), dtype=float).reshape(n_nodes, dim)
     q = np.asarray(problem.running_cost(nodes), dtype=float).reshape(n_nodes)
-    bs = problem.dynamics.control_matrix @ problem.dynamics.noise_cov
-    d_mat = bs @ bs.T
 
     if dim == 1:
         strides = (1,)
@@ -160,12 +165,6 @@ def grid_hjb_oracle(problem: LsocProblem, spec: GridSpec) -> GridSolution:
             add(row, node + strides[k], dkk / h[k] ** 2)
             add(row, node - strides[k], dkk / h[k] ** 2)
             diag -= 2 * dkk / h[k] ** 2
-        if dim == 2 and d_mat[0, 1] != 0.0:
-            cross = d_mat[0, 1] / (4 * h[0] * h[1])
-            add(row, node + strides[0] + strides[1], cross)
-            add(row, node - strides[0] - strides[1], cross)
-            add(row, node + strides[0] - strides[1], -cross)
-            add(row, node - strides[0] + strides[1], -cross)
         rows.append(row)
         cols.append(row)
         vals.append(diag)

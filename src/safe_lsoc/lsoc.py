@@ -18,7 +18,7 @@ callers read Z as exp(log_desirability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,14 +128,14 @@ class UnionDomain(FirstExitDomain):
 class LsocProblem:
     """First-exit stochastic control problem in linearly-solvable form.
 
-    running_cost and final_cost must be vectorized over leading state axes.
-    The control penalty is implied by the noise, R = lam (sigma sigma^T)^{-1},
-    so the lambda condition holds by construction.
+    running_cost must be vectorized over leading state axes; the terminal
+    cost goes to the estimator and the grid oracle, so components share one
+    problem.  The control penalty is implied by the noise,
+    R = lam (sigma sigma^T)^{-1}, so the lambda condition holds by construction.
     """
 
     dynamics: ControlAffineDynamics
     running_cost: Callable[[np.ndarray], np.ndarray]
-    final_cost: Callable[[np.ndarray], np.ndarray]
     domain: FirstExitDomain
     lam: float = 1.0
 
@@ -148,9 +148,9 @@ class LsocProblem:
 class RolloutBatch:
     """K passive-dynamics rollouts from one start state.
 
-    path_costs[k] = running_costs[k] + final_cost(exit_states[k]), with a
-    zero final cost on a batch not yet scored; dw0 holds the first-step
-    Brownian increments used for control extraction.
+    running_costs[k] is path k's accumulated running cost, before any
+    terminal cost; dw0 holds the first-step Brownian increments used for
+    control extraction.
     """
 
     dt: float
@@ -159,16 +159,10 @@ class RolloutBatch:
     exit_states: np.ndarray
     exit_steps: np.ndarray
     running_costs: np.ndarray
-    path_costs: np.ndarray
 
     @property
     def n_rollouts(self) -> int:
         return self.dw0.shape[0]
-
-    def scored(self, final_cost: Callable[[np.ndarray], np.ndarray]) -> "RolloutBatch":
-        """This batch with path_costs = running_costs + final_cost(exit_states)."""
-        phi = np.asarray(final_cost(self.exit_states), dtype=float)
-        return replace(self, path_costs=self.running_costs + phi)
 
 
 def rollout_batch(
@@ -230,7 +224,6 @@ def rollout_batch(
     if np.any(alive):
         exit_states[alive] = states[alive]
 
-    path_costs = running + np.asarray(problem.final_cost(exit_states), dtype=float)
     return RolloutBatch(
         dt=dt,
         noise_cov=sigma,
@@ -238,7 +231,6 @@ def rollout_batch(
         exit_states=exit_states,
         exit_steps=exit_steps,
         running_costs=running,
-        path_costs=path_costs,
     )
 
 
@@ -251,17 +243,21 @@ class ControlEstimate:
     log_desirability: float
 
 
-def estimate_optimal_control(batch: RolloutBatch, lam: float) -> ControlEstimate:
+def estimate_optimal_control(
+    batch: RolloutBatch, final_cost: Callable[[np.ndarray], np.ndarray], lam: float
+) -> ControlEstimate:
     """u = sigma . (weighted mean of first-step noise) / dt, dt the batch's step.
 
-    Weights are the normalized path weights softmax(-S/lambda); the reduction
+    Weights are the normalized path weights softmax(-S/lambda), with
+    S = running_costs + final_cost(exit_states) priced here; the reduction
     runs in rollout-index order so results are bitwise reproducible.
     log Z = max(-S/lambda) + log mean exp(-S/lambda - max) stays finite when
     every weight exp(-S/lambda) underflows.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lw = -batch.path_costs / lam
+    phi = np.asarray(final_cost(batch.exit_states), dtype=float)
+    lw = -(batch.running_costs + phi) / lam
     m = float(np.max(lw))
     w = np.exp(lw - m)
     total = float(np.sum(w))

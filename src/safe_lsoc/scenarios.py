@@ -658,17 +658,14 @@ def subsystem_composition_weights(
 
 
 def subsystem_problem(
-    sc: Scenario,
-    sub: FactorialSubsystem,
-    targets: np.ndarray,
-    final_cost: Callable[[np.ndarray], np.ndarray],
+    sc: Scenario, sub: FactorialSubsystem, targets: np.ndarray
 ) -> LsocProblem:
     """First-exit problem one agent solves over its factorial subsystem.
 
     The running cost is running_cost_coop with the terms of
-    subsystem_cost_terms; final_cost is the terminal cost the rollouts are
-    scored with, as built by subsystem_final_cost.  The exit set is the
-    central agent's target ball (parts[0]) or leaving the arena box.
+    subsystem_cost_terms; every component shares it, each with the terminal
+    cost subsystem_final_cost builds.  The exit set is the central agent's
+    target ball (parts[0]) or leaving the arena box.
     """
     terms = subsystem_cost_terms(sc, sub, targets)
     (xlo, xhi), (ylo, yhi) = sc.sim.domain
@@ -677,7 +674,6 @@ def subsystem_problem(
         running_cost=lambda x: running_cost_coop(
             x, *terms, sc.costs.pair_weight, sc.obstacles
         ),
-        final_cost=final_cost,
         domain=UnionDomain([
             BallBoundary((0, 1), terms[0][0], sc.sim.target_radius),
             BoxBoundary((0, 1), np.array([xlo, ylo]), np.array([xhi, yhi])),
@@ -703,20 +699,17 @@ class RolloutSampler(NamedTuple):
 
 
 def subsystem_rollouts(
-    sc: Scenario,
-    sub: FactorialSubsystem,
-    targets: np.ndarray,
+    sc: Scenario, sub: FactorialSubsystem, targets: np.ndarray
 ) -> RolloutSampler:
     """Rollout sampler of one subsystem; the closed loop's only sampler.
 
-    The returned sample(x0, stream), scored with a terminal cost phi,
-    computes what rollout_batch on subsystem_problem(sc, sub, targets, phi)
-    computes with the run's dt, horizon and rollout count, bit for bit, for
-    the stacked unicycles the schema describes.  Unscored, a batch's
-    path_costs are its running costs.  It checks no input: the loader and
-    em_step guarantee them, and rollout_batch is the checked oracle.  The
-    state is one (4, n_members, K) array of x, y, v, phi rows.  The input
-    and noise matrices only add sigma * dw to v and phi, distances are
+    The returned sample(x0, stream) computes what rollout_batch on
+    subsystem_problem(sc, sub, targets) computes with the run's dt, horizon
+    and rollout count, bit for bit, for the stacked unicycles the schema
+    describes.  It checks no input: the loader and em_step guarantee them,
+    and rollout_batch is the checked oracle.  The state is one
+    (4, n_members, K) array of x, y, v, phi rows.  The input and noise
+    matrices only add sigma * dw to v and phi, distances are
     sqrt(dx*dx + dy*dy) as np.linalg.norm forms them, and disc penalties
     add in obstacle order.  A path stops at the target ball or the arena
     box of the central agent; a stopped path keeps its state, and a box
@@ -817,7 +810,6 @@ def subsystem_rollouts(
             exit_states=exit_states,
             exit_steps=exit_steps,
             running_costs=running,
-            path_costs=running,
         )
 
     return RolloutSampler(draw, integrate)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .scenarios import (
     list_bundled_scenarios,
     load_scenario,
     obstacle_discs,
-    subsystem_final_cost,
     subsystem_problem,
     subsystem_rollouts,
     uav_dynamics,
@@ -187,7 +187,7 @@ def filter_projection_check(n_single: int = 600, n_multi: int = 400) -> CheckRes
 # PI estimator vs grid PDE solve -------------------------------------------------
 
 
-def _toy_problem_1d() -> tuple[LsocProblem, GridSpec]:
+def _toy_problem_1d() -> tuple[LsocProblem, Callable, GridSpec]:
     dyn = ControlAffineDynamics(
         state_dim=1,
         input_dim=1,
@@ -198,14 +198,17 @@ def _toy_problem_1d() -> tuple[LsocProblem, GridSpec]:
     problem = LsocProblem(
         dynamics=dyn,
         running_cost=lambda x: np.full(np.atleast_2d(x).shape[0], 0.8),
-        final_cost=lambda x: np.where(np.atleast_2d(x)[..., 0] < 0.0, 0.6, 0.1),
         domain=BoxBoundary((0,), np.array([-1.0]), np.array([1.0])),
         lam=0.8,
     )
-    return problem, GridSpec(lower=(-1.0,), upper=(1.0,), shape=(401,))
+
+    def final(x: np.ndarray) -> np.ndarray:
+        return np.where(np.atleast_2d(x)[..., 0] < 0.0, 0.6, 0.1)
+
+    return problem, final, GridSpec(lower=(-1.0,), upper=(1.0,), shape=(401,))
 
 
-def _toy_problem_2d() -> tuple[LsocProblem, GridSpec]:
+def _toy_problem_2d() -> tuple[LsocProblem, Callable, GridSpec]:
     def drift(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         return np.broadcast_to(np.array([0.2, -0.1]), x.shape)
@@ -226,11 +229,12 @@ def _toy_problem_2d() -> tuple[LsocProblem, GridSpec]:
     problem = LsocProblem(
         dynamics=dyn,
         running_cost=lambda x: np.full(np.atleast_2d(x).shape[0], 0.6),
-        final_cost=final,
         domain=BoxBoundary((0, 1), np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         lam=1.0,
     )
-    return problem, GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), shape=(161, 161))
+    return problem, final, GridSpec(
+        lower=(-1.0, -1.0), upper=(1.0, 1.0), shape=(161, 161)
+    )
 
 
 def _grid_control(problem: LsocProblem, sol, x: np.ndarray) -> np.ndarray:
@@ -267,8 +271,8 @@ def pi_oracle_check(
     z_horizon = int(round(horizon * dt / z_dt))
 
     for dim in dims:
-        problem, spec = builders[dim]()
-        sol = grid_hjb_oracle(problem, spec)
+        problem, final, spec = builders[dim]()
+        sol = grid_hjb_oracle(problem, final, spec)
 
         # Decisive probes only: the control estimate has Monte-Carlo noise of
         # order sigma/sqrt(dt * ESS), so near-zero reference controls cannot
@@ -285,7 +289,7 @@ def pi_oracle_check(
         for j, (x, u_ref) in enumerate(probes):
             stream = NoiseStream(seed).child(3, dim, j)
             batch = rollout_batch(problem, x, dt, horizon, k_rollouts, stream)
-            est = estimate_optimal_control(batch, problem.lam)
+            est = estimate_optimal_control(batch, final, problem.lam)
             sign_total += dim
             sign_hits += int(np.sum(np.sign(est.control) == np.sign(u_ref)))
             if j < z_probes:
@@ -293,7 +297,7 @@ def pi_oracle_check(
                 z_batch = rollout_batch(
                     problem, x, z_dt, z_horizon, k_rollouts, z_stream
                 )
-                z_est = estimate_optimal_control(z_batch, problem.lam)
+                z_est = estimate_optimal_control(z_batch, final, problem.lam)
                 z_pi = float(np.exp(z_est.log_desirability))
                 z_ref = sol.z_at(x)
                 worst_rel = max(worst_rel, abs(z_pi - z_ref) / abs(z_ref))
@@ -417,7 +421,7 @@ def chain_closed_form_check(n_states: int = 100, grad_states: int = 10) -> Check
 
 # Rollout kernel vs the generic rollout_batch ------------------------------------
 
-BATCH_ARRAYS = ("dw0", "exit_states", "exit_steps", "running_costs", "path_costs")
+BATCH_ARRAYS = ("dw0", "exit_states", "exit_steps", "running_costs")
 
 
 def _exit_starts(sc, sub, targets, rng, n_starts: int) -> list[np.ndarray]:
@@ -459,11 +463,10 @@ def rollout_kernel_check(n_starts: int = 8) -> CheckResult:
     rollout_batch on subsystem_problem draw from the same stream at the
     joint start and at n_starts starts that reach the target ball or the
     arena box within the horizon (see _exit_starts).  The kernel's batch
-    goes through the draw and integrate stages the closed loop runs and is
-    scored as the loop scores its first component.  Passes when all five
-    batch arrays are equal bit for bit, the batches cover subsystems of
-    one, two and three members, both exits occur, and some batch stops
-    part of its paths early while the rest run on.
+    goes through the draw and integrate stages the closed loop runs.  Passes
+    when all four batch arrays are equal bit for bit, the batches cover
+    subsystems of one, two and three members, both exits occur, and some
+    batch stops part of its paths early while the rest run on.
     """
     seed = 13
     rng = np.random.default_rng(seed)
@@ -473,16 +476,15 @@ def rollout_kernel_check(n_starts: int = 8) -> CheckResult:
     equal = True
     for name in list_bundled_scenarios():
         sc = load_scenario(bundled_scenario_path(name), name=name)
-        targets, components = sc.task_view()
+        targets, _ = sc.task_view()
         dt, horizon, k_rollouts = sc.sim.dt, sc.pi.horizon_steps, sc.pi.rollouts
         for sub in build_subsystems(sc.graph):
-            phi = subsystem_final_cost(sc, sub, components[0])
             kernel = subsystem_rollouts(sc, sub, targets)
-            problem = subsystem_problem(sc, sub, targets, phi)
+            problem = subsystem_problem(sc, sub, targets)
             ball = problem.domain.parts[0]
             for k, x0 in enumerate(_exit_starts(sc, sub, targets, rng, n_starts)):
                 fresh = partial(NoiseStream(seed).child, 5, sub.central, k)
-                got = kernel.sample(x0, fresh()).scored(phi)
+                got = kernel.sample(x0, fresh())
                 want = rollout_batch(problem, x0, dt, horizon, k_rollouts, fresh())
                 for attr in BATCH_ARRAYS:
                     a, b = getattr(got, attr), getattr(want, attr)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5
+_COUPLING_TOL = 1e-9  # detect_relative_degree: least |grad(h_r) . B| that counts
+_MAX_DEGREE = 4
 
 
 @dataclass
@@ -49,9 +51,7 @@ class BarrierFunction:
     hessian: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def from_value(
-        cls, fn: Callable[[np.ndarray], float], fd_step: float = _FD_STEP
-    ) -> "BarrierFunction":
+    def from_value(cls, fn: Callable[[np.ndarray], float]) -> "BarrierFunction":
         """Wrap a value callable with central finite-difference derivatives."""
 
         def gradient(x: np.ndarray) -> np.ndarray:
@@ -59,8 +59,8 @@ class BarrierFunction:
             g = np.empty(x.shape[0])
             for i in range(x.shape[0]):
                 e = np.zeros_like(x)
-                e[i] = fd_step
-                g[i] = (fn(x + e) - fn(x - e)) / (2 * fd_step)
+                e[i] = _FD_STEP
+                g[i] = (fn(x + e) - fn(x - e)) / (2 * _FD_STEP)
             return g
 
         def hessian(x: np.ndarray) -> np.ndarray:
@@ -70,17 +70,17 @@ class BarrierFunction:
             f0 = fn(x)
             for i in range(n):
                 ei = np.zeros_like(x)
-                ei[i] = fd_step
-                h[i, i] = (fn(x + ei) - 2 * f0 + fn(x - ei)) / fd_step**2
+                ei[i] = _FD_STEP
+                h[i, i] = (fn(x + ei) - 2 * f0 + fn(x - ei)) / _FD_STEP**2
                 for j in range(i + 1, n):
                     ej = np.zeros_like(x)
-                    ej[j] = fd_step
+                    ej[j] = _FD_STEP
                     hij = (
                         fn(x + ei + ej)
                         - fn(x + ei - ej)
                         - fn(x - ei + ej)
                         + fn(x - ei - ej)
-                    ) / (4 * fd_step**2)
+                    ) / (4 * _FD_STEP**2)
                     h[i, j] = h[j, i] = hij
             return h
 
@@ -88,43 +88,34 @@ class BarrierFunction:
 
     @classmethod
     def circle(
-        cls,
-        center: Sequence[float],
-        radius: float,
-        margin: float = 0.0,
-        state_dim: int = 4,
-        pos_idx: tuple[int, int] = (0, 1),
+        cls, center: Sequence[float], radius: float, margin: float = 0.0
     ) -> "BarrierFunction":
-        """Disc keep-out barrier on two position coordinates.
+        """Disc keep-out barrier on the position coordinates x[0], x[1].
 
         h(x) = (x - cx)^2 + (y - cy)^2 - (radius + margin)^2, analytic
-        derivatives; all other state coordinates are ignored.
+        derivatives sized to the state; all other coordinates are ignored.
         """
         cx, cy = float(center[0]), float(center[1])
         rr = (float(radius) + float(margin)) ** 2
-        ix, iy = pos_idx
 
         def value(x: np.ndarray) -> float:
-            return float((x[ix] - cx) ** 2 + (x[iy] - cy) ** 2 - rr)
+            return float((x[0] - cx) ** 2 + (x[1] - cy) ** 2 - rr)
 
         def gradient(x: np.ndarray) -> np.ndarray:
-            g = np.zeros(state_dim)
-            g[ix] = 2.0 * (x[ix] - cx)
-            g[iy] = 2.0 * (x[iy] - cy)
+            g = np.zeros(len(x))
+            g[0] = 2.0 * (x[0] - cx)
+            g[1] = 2.0 * (x[1] - cy)
             return g
 
         def hessian(x: np.ndarray) -> np.ndarray:
-            h = np.zeros((state_dim, state_dim))
-            h[ix, ix] = 2.0
-            h[iy, iy] = 2.0
+            h = np.zeros((len(x), len(x)))
+            h[0, 0] = h[1, 1] = 2.0
             return h
 
         return cls(value=value, gradient=gradient, hessian=hessian)
 
 
-def chain_lift(
-    h: BarrierFunction, dyn: ControlAffineDynamics, fd_step: float = _FD_STEP
-) -> BarrierFunction:
+def chain_lift(h: BarrierFunction, dyn: ControlAffineDynamics) -> BarrierFunction:
     """One lift of the chain recursion.
 
     The lifted value is exact given h's derivatives; the lifted gradient and
@@ -139,29 +130,25 @@ def chain_lift(
         trace = 0.5 * float(np.einsum("ip,ij,jp->", bs, h.hessian(x), bs))
         return float(h.gradient(x) @ dyn.drift(x)) + trace + h.value(x)
 
-    return BarrierFunction.from_value(value, fd_step=fd_step)
+    return BarrierFunction.from_value(value)
 
 
 def detect_relative_degree(
-    h0: BarrierFunction,
-    dyn: ControlAffineDynamics,
-    sample_states: np.ndarray,
-    tol: float = 1e-9,
-    max_degree: int = 4,
+    h0: BarrierFunction, dyn: ControlAffineDynamics, sample_states: np.ndarray
 ) -> int:
     """Least r with grad(h_r) . B nonzero at some sampled state."""
     sample_states = np.atleast_2d(np.asarray(sample_states, dtype=float))
     h = h0
-    for r in range(max_degree + 1):
+    for r in range(_MAX_DEGREE + 1):
         coupling = max(
             float(np.max(np.abs(h.gradient(x) @ dyn.control_matrix)))
             for x in sample_states
         )
-        if coupling > tol:
+        if coupling > _COUPLING_TOL:
             return r
         h = chain_lift(h, dyn)
     raise ValueError(
-        f"no control coupling found up to chain degree {max_degree}; "
+        f"no control coupling found up to chain degree {_MAX_DEGREE}; "
         "the constraint may be structurally uncontrollable"
     )
 

@@ -70,6 +70,12 @@ class TestRunCommand:
         assert code == cli.EXIT_INVALID
         assert "no bundled scenario" in capsys.readouterr().err
 
+    def test_missing_scenario_file_named(self, tmp_path, capsys):
+        missing = tmp_path / "results" / "single.json"
+        code = cli.main(["run", str(missing)])
+        assert code == cli.EXIT_INVALID
+        assert f"error: {missing}: no such file" in capsys.readouterr().err
+
     def test_malformed_field_returns_invalid_exit(
         self, scenario_path_factory, capsys
     ):
@@ -182,7 +188,7 @@ class TestSweepCommand:
         assert "error: --margins 10.0: agents[0].target" in capsys.readouterr().err
 
     def test_bad_margins(self, tiny_path, capsys):
-        for margins in ("1.0,-2", "nan", "inf", "0.5,-inf"):
+        for margins in ("1.0,-2", "nan", "inf", "0.5,-inf", "1.0,1.0"):
             code = cli.main(["sweep", str(tiny_path), "--margins", margins])
             assert code == cli.EXIT_INVALID, margins
             assert "error: --margins" in capsys.readouterr().err

@@ -277,8 +277,8 @@ class TestExactComposition:
                 batch = sample(
                     assemble_joint(sub, states),
                     NoiseStream(0).child(KIND_ROLLOUT, i, k),
-                ).scored(phi)
-                u = estimate_optimal_control(batch, lam).control[:UAV_INPUTS]
+                )
+                u = estimate_optimal_control(batch, phi, lam).control[:UAV_INPUTS]
                 worst = max(
                     worst, float(np.linalg.norm(u_mix - u) / np.linalg.norm(u))
                 )

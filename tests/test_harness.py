@@ -426,8 +426,8 @@ class TestRawControlContract:
         batch = subsystem_rollouts(sc, sub, targets).sample(
             assemble_joint(sub, [a.start for a in sc.agents]),
             NoiseStream(0).child(KIND_ROLLOUT, 0, 0),
-        ).scored(final)
-        joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
+        )
+        joint_u = estimate_optimal_control(batch, final, sc.pi.temperature).control
         assert joint_u.shape == (4,)
         np.testing.assert_array_equal(res.agents[0].raw_controls[0], joint_u[:2])
 
@@ -468,8 +468,8 @@ class TestRawControlContract:
         )
         batch = subsystem_rollouts(sc, sub, targets).sample(
             joint, NoiseStream(0).child(KIND_ROLLOUT, 0, k)
-        ).scored(final)
-        joint_u = estimate_optimal_control(batch, sc.pi.temperature).control
+        )
+        joint_u = estimate_optimal_control(batch, final, sc.pi.temperature).control
         np.testing.assert_array_equal(res.agents[0].raw_controls[k], joint_u[:2])
 
     def test_single_task_records_unfiltered_estimate(self, tiny_scenario):

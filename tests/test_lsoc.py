@@ -31,15 +31,18 @@ def line_problem(sigma: float = 0.5, q: float = 1.0, lam: float = 1.0) -> LsocPr
     return LsocProblem(
         dynamics=dyn,
         running_cost=lambda x: np.full(np.atleast_2d(x).shape[0], q),
-        final_cost=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
         domain=BoxBoundary((0,), np.array([-1.0]), np.array([1.0])),
         lam=lam,
     )
 
 
-def synthetic_batch(path_costs, dw0=None, dt=0.01, sigma=0.6) -> RolloutBatch:
+def no_final_cost(x):
+    return np.zeros(np.atleast_2d(x).shape[0])
+
+
+def synthetic_batch(running_costs, dw0=None, dt=0.01, sigma=0.6) -> RolloutBatch:
     """Batch with prescribed costs; enough structure for the estimators."""
-    s = np.asarray(path_costs, dtype=float)
+    s = np.asarray(running_costs, dtype=float)
     k = s.shape[0]
     if dw0 is None:
         dw0 = np.random.default_rng(0).normal(0.0, np.sqrt(dt), size=(k, 1))
@@ -49,8 +52,7 @@ def synthetic_batch(path_costs, dw0=None, dt=0.01, sigma=0.6) -> RolloutBatch:
         dw0=np.asarray(dw0, dtype=float),
         exit_states=np.zeros((k, 1)),
         exit_steps=np.full(k, 10),
-        running_costs=s.copy(),
-        path_costs=s,
+        running_costs=s,
     )
 
 
@@ -97,7 +99,6 @@ class TestProblemSetup:
             LsocProblem(
                 dynamics=dyn,
                 running_cost=lambda x: np.zeros(1),
-                final_cost=lambda x: np.zeros(1),
                 domain=BoxBoundary((0,), np.array([-1.0]), np.array([1.0])),
                 lam=0.0,
             )
@@ -108,14 +109,14 @@ class TestRolloutBatch:
         p = line_problem()
         a = rollout_batch(p, np.zeros(1), 0.02, 40, 64, NoiseStream(3, 5))
         b = rollout_batch(p, np.zeros(1), 0.02, 40, 64, NoiseStream(3, 5))
-        np.testing.assert_array_equal(a.path_costs, b.path_costs)
+        np.testing.assert_array_equal(a.running_costs, b.running_costs)
         np.testing.assert_array_equal(a.dw0, b.dw0)
         np.testing.assert_array_equal(a.exit_states, b.exit_states)
 
     def test_costs_finite_and_shared_setup(self):
         p = line_problem()
         batch = rollout_batch(p, np.zeros(1), 0.02, 40, 64, NoiseStream(3))
-        assert np.all(np.isfinite(batch.path_costs))
+        assert np.all(np.isfinite(batch.running_costs))
         assert batch.n_rollouts == 64
         assert batch.dt == 0.02
 
@@ -163,7 +164,8 @@ class TestRolloutBatch:
 
 def desirability(batch: RolloutBatch, lam: float) -> float:
     """Z as the closed loop reads it: exp of the estimate's log Z."""
-    return float(np.exp(estimate_optimal_control(batch, lam).log_desirability))
+    est = estimate_optimal_control(batch, no_final_cost, lam)
+    return float(np.exp(est.log_desirability))
 
 
 class TestDesirability:
@@ -196,8 +198,8 @@ class TestDesirability:
         z0 = desirability(base, lam)
         z1 = desirability(shifted, lam)
         np.testing.assert_allclose(z1, z0 * np.exp(-shift / lam), rtol=1e-9)
-        est0 = estimate_optimal_control(base, lam)
-        est1 = estimate_optimal_control(shifted, lam)
+        est0 = estimate_optimal_control(base, no_final_cost, lam)
+        est1 = estimate_optimal_control(shifted, no_final_cost, lam)
         np.testing.assert_allclose(
             est1.log_desirability, est0.log_desirability - shift / lam,
             rtol=1e-9, atol=1e-9,
@@ -208,7 +210,7 @@ class TestDesirability:
         costs = [1e6, 2e6]
         batch = synthetic_batch(costs)
         assert np.all(np.exp(-np.asarray(costs)) == 0.0)
-        est = estimate_optimal_control(batch, 1.0)
+        est = estimate_optimal_control(batch, no_final_cost, 1.0)
         assert np.isfinite(est.log_desirability)
         # The dominant path carries it: log Z = -S_min + log(1/K) + O(e^-1e6).
         assert est.log_desirability == pytest.approx(-1e6 + np.log(0.5))
@@ -216,7 +218,7 @@ class TestDesirability:
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
-            estimate_optimal_control(synthetic_batch([1.0]), 0.0)
+            estimate_optimal_control(synthetic_batch([1.0]), no_final_cost, 0.0)
 
 
 class TestControlEstimate:
@@ -224,18 +226,18 @@ class TestControlEstimate:
         batch = synthetic_batch(
             [1.0, 1.0], dw0=np.array([[0.2], [-0.4]]), dt=0.1, sigma=0.5
         )
-        est = estimate_optimal_control(batch, 2.0)
+        est = estimate_optimal_control(batch, no_final_cost, 2.0)
         np.testing.assert_allclose(est.control, [0.5 * (-0.1) / 0.1])
         np.testing.assert_allclose(est.effective_sample_size, 2.0)
 
     def test_ess_uniform_equals_k(self):
         batch = synthetic_batch(np.full(50, 3.0))
-        est = estimate_optimal_control(batch, 1.0)
+        est = estimate_optimal_control(batch, no_final_cost, 1.0)
         np.testing.assert_allclose(est.effective_sample_size, 50.0, rtol=1e-12)
 
     def test_ess_collapse_flags_degenerate(self):
         batch = synthetic_batch([0.0, 1000.0, 1000.0])
-        est = estimate_optimal_control(batch, 1.0)
+        est = estimate_optimal_control(batch, no_final_cost, 1.0)
         np.testing.assert_allclose(est.effective_sample_size, 1.0, rtol=1e-9)
         assert est.effective_sample_size < 2.0
 
@@ -256,9 +258,6 @@ class TestGridOracle:
         problem = LsocProblem(
             dynamics=dyn,
             running_cost=lambda x: np.full(np.atleast_2d(x).shape[0], q),
-            final_cost=lambda x: np.where(
-                np.atleast_2d(x)[..., 0] < 0.0, phi_lo, phi_hi
-            ),
             domain=BoxBoundary((0,), np.array([-1.0]), np.array([1.0])),
             lam=lam,
         )
@@ -279,7 +278,9 @@ class TestGridOracle:
         errs = []
         for shape in (51, 101, 201):
             sol = grid_hjb_oracle(
-                problem, GridSpec(lower=(-1.0,), upper=(1.0,), shape=(shape,))
+                problem,
+                lambda x: np.where(np.atleast_2d(x)[..., 0] < 0.0, phi_lo, phi_hi),
+                GridSpec(lower=(-1.0,), upper=(1.0,), shape=(shape,)),
             )
             nodes = np.linspace(-1.0, 1.0, shape)
             errs.append(float(np.max(np.abs(sol.z - z_exact(nodes)))))
@@ -289,10 +290,27 @@ class TestGridOracle:
 
     def test_gradient_consistent_with_field(self):
         problem = line_problem(sigma=0.5, q=0.8, lam=1.0)
-        sol = grid_hjb_oracle(
-            problem, GridSpec(lower=(-1.0,), upper=(1.0,), shape=(401,))
-        )
+        spec = GridSpec(lower=(-1.0,), upper=(1.0,), shape=(401,))
+        sol = grid_hjb_oracle(problem, no_final_cost, spec)
         x = np.array([0.3])
         h = 1e-4
         fd = (sol.z_at(x + h) - sol.z_at(x - h)) / (2 * h)
         np.testing.assert_allclose(sol.gradient_at(x), fd, rtol=1e-3)
+
+    def test_cross_diffusion_rejected(self):
+        # The upwind scheme is an M-matrix for diagonal diffusion only.
+        dyn = ControlAffineDynamics(
+            state_dim=2,
+            input_dim=2,
+            drift=lambda x: np.zeros_like(np.atleast_2d(x)),
+            control_matrix=np.eye(2),
+            noise_cov=np.array([[0.5, 0.2], [0.0, 0.5]]),
+        )
+        problem = LsocProblem(
+            dynamics=dyn,
+            running_cost=lambda x: np.ones(np.atleast_2d(x).shape[0]),
+            domain=BoxBoundary((0, 1), np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        )
+        spec = GridSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0), shape=(11, 11))
+        with pytest.raises(ValueError, match="diagonal"):
+            grid_hjb_oracle(problem, no_final_cost, spec)

@@ -139,12 +139,16 @@ class TestBlockZeroEstimate:
                 exit_states=np.zeros((2, dyn.state_dim)),
                 exit_steps=np.ones(2, dtype=int),
                 running_costs=costs,
-                path_costs=costs,
             )
 
-        u_joint = estimate_optimal_control(batch(joint, dw0), 0.7).control
+        def no_final_cost(x):
+            return np.zeros(len(x))
+
+        u_joint = estimate_optimal_control(
+            batch(joint, dw0), no_final_cost, 0.7
+        ).control
         u_local = estimate_optimal_control(
-            batch(single, dw0[:, :UAV_INPUTS]), 0.7
+            batch(single, dw0[:, :UAV_INPUTS]), no_final_cost, 0.7
         ).control
         assert u_joint.shape == (4,)
         np.testing.assert_allclose(u_joint[:UAV_INPUTS], u_local, rtol=1e-14, atol=0)

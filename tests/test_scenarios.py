@@ -614,7 +614,7 @@ class TestSubsystemPlumbing:
     def test_running_cost_zero_at_start(self, tiny_scenario):
         sub = build_subsystems(tiny_scenario.graph)[0]
         targets = np.array([a.target for a in tiny_scenario.agents])
-        q = subsystem_problem(tiny_scenario, sub, targets, None).running_cost
+        q = subsystem_problem(tiny_scenario, sub, targets).running_cost
         assert float(np.asarray(q(tiny_scenario.agents[0].start))) == 0.0
 
     def test_coop_running_cost_zero_at_joint_start(self, bundled):
@@ -625,15 +625,13 @@ class TestSubsystemPlumbing:
             joint0 = np.concatenate(
                 [sc.agents[m].start for m in sub.members]
             )
-            q = subsystem_problem(sc, sub, targets, None).running_cost
+            q = subsystem_problem(sc, sub, targets).running_cost
             assert float(np.asarray(q(joint0))) == 0.0
 
     def test_problem_assembly_respects_lambda(self, tiny_scenario):
         sub = build_subsystems(tiny_scenario.graph)[0]
-        targets, (task,) = tiny_scenario.task_view()
-        phi = subsystem_final_cost(tiny_scenario, sub, task)
-        prob = subsystem_problem(tiny_scenario, sub, targets, phi)
-        assert prob.final_cost is phi
+        targets, _ = tiny_scenario.task_view()
+        prob = subsystem_problem(tiny_scenario, sub, targets)
         assert prob.lam == tiny_scenario.pi.temperature
         assert prob.dynamics.state_dim == UAV_DIM
         # start is interior, target is on the exit set
@@ -651,8 +649,6 @@ class TestSubsystemPlumbing:
             x, comp.targets[0], comp.final.c, comp.final.d, comp.final.alpha
         )
         np.testing.assert_allclose(phi(x), expected, rtol=1e-12)
-        prob = subsystem_problem(tiny_composite, sub, comp.targets, phi)
-        np.testing.assert_allclose(prob.final_cost(x), expected, rtol=1e-12)
 
 
 class TestRolloutKernel:

@@ -46,15 +46,24 @@ SAMPLE_UAV_STATES = np.array(
 
 class TestBarrierFunction:
     def test_circle_analytic_values(self):
-        h = BarrierFunction.circle((1.0, 2.0), 3.0, margin=0.5, state_dim=4)
+        h = BarrierFunction.circle((1.0, 2.0), 3.0, margin=0.5)
         x = np.array([5.0, 2.0, 9.0, 9.0])
         assert h.value(x) == pytest.approx(16.0 - 12.25)
         np.testing.assert_allclose(h.gradient(x), [8.0, 0.0, 0.0, 0.0])
         hess = h.hessian(x)
         np.testing.assert_allclose(np.diag(hess), [2.0, 2.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_circle_derivatives_sized_to_the_state(self, dim):
+        h = BarrierFunction.circle((0.5, 1.0), 3.0)
+        x = np.arange(1.0, dim + 1.0)
+        rest = [0.0] * (dim - 2)
+        np.testing.assert_array_equal(h.gradient(x), [1.0, 2.0] + rest)
+        hess = h.hessian(x)
+        np.testing.assert_array_equal(hess, np.diag([2.0, 2.0] + rest))
+
     def test_from_value_matches_analytic_derivatives(self):
-        analytic = BarrierFunction.circle((1.0, -2.0), 2.0, state_dim=4)
+        analytic = BarrierFunction.circle((1.0, -2.0), 2.0)
         fd = BarrierFunction.from_value(analytic.value)
         rng = np.random.default_rng(0)
         for _ in range(10):
