@@ -79,7 +79,7 @@ class AgentRecord:
     states: np.ndarray  # (T+1, 4) x, y, v, phi
     controls: np.ndarray  # (T, P) applied controls
     exit_reason: str  # target_reached / max_time / safety_infeasible
-    raw_controls: np.ndarray  # (T, P) pre-filter controls
+    raw_controls: np.ndarray  # (T, P) mix of the component estimates
     ess: np.ndarray  # (T,) effective sample size per control step
     h_values: np.ndarray  # (T+1, n_obstacles, levels) barrier chain values
     component_weights: np.ndarray | None = None  # (T, F) in composite runs
@@ -93,7 +93,7 @@ class RunResult:
     agents: list[AgentRecord]
     task_targets: np.ndarray  # (n_agents, 2) targets the run steered toward
     infeasible_agent: int | None = None
-    # Obstacle indices of a minimal conflicting set of half-spaces.
+    # Obstacle ids of a minimal empty subset of the halting agent's half-spaces.
     infeasible_constraints: tuple[int, ...] | None = None
     wall_time: float = 0.0
 
@@ -128,13 +128,14 @@ def _run_closed_loop(
     The targets and components come from sc.task_view().  Each agent draws
     one rollout batch per step, and every component scores the batch with
     its own terminal cost; the batch integrates on a helper thread while
-    this thread draws the next batch's noise (see _integrator).  A lone
-    component's raw control is the unfiltered estimate.  Several components
-    are each pre-filtered, so their convex mixture under the kernel and
-    desirability weights is already feasible; the mixture then passes the
-    filter once.  Component weights are recorded for composite scenarios
-    only.  runner names the public runner, which takes scenarios of
-    task_mode only.
+    this thread draws the next batch's noise (see _integrator).  The raw
+    control is the mix of the unfiltered component estimates under the
+    kernel and desirability weights (a lone component's weight is 1); in
+    filtered mode the applied control is its projection onto the barrier
+    half-spaces, one filter call per agent-step.  An empty intersection
+    halts every unfinished agent.  Component weights are recorded for
+    composite scenarios only.  runner names the public runner, which takes
+    scenarios of task_mode only.
     """
     if sc.task.mode != task_mode:
         raise ScenarioError(f"{runner} requires a scenario with task.mode {task_mode}")
@@ -191,70 +192,62 @@ def _run_closed_loop(
     # stream is keyed by (seed, agent, step), so no byte depends on which
     # thread computes what, or when.
     next_stream = next_dw = None
-    with _integrator() as start:
-        for k in range(max_steps):
-            active = [i for i, f in enumerate(finished) if f is None]
-            if not active:
-                break
-            # Every active agent estimates from the same states, then each moves.
-            for slot, i in enumerate(active):
-                stream = base.child(KIND_ROLLOUT, i, k)
-                dw = next_dw if stream == next_stream else samplers[i].draw(stream)
-                joint = assemble_joint(subsystems[i], x)
-                integrated = start(samplers[i].integrate, joint, dw)
-                if slot + 1 < len(active):
-                    nk, ni = k, active[slot + 1]
-                else:
-                    nk, ni = k + 1, active[0]
-                next_stream = next_dw = None
-                if nk < max_steps:
-                    next_stream = base.child(KIND_ROLLOUT, ni, nk)
-                    next_dw = samplers[ni].draw(next_stream)
-                batch = integrated()
-                ests = [
-                    estimate_optimal_control(batch, phi, lam)
-                    for phi in comp_final[i]
-                ]
-                # Block 0 is the central agent, the only block it applies.
-                u_components = [est.control[:UAV_INPUTS] for est in ests]
-                w = state_weights(
-                    mix_weights[i], [est.log_desirability for est in ests]
-                )
-                if filtered:
-                    a_mat, b_vec = a_all[i], b_all[i]
-                    try:
-                        if len(u_components) > 1:
-                            u_components = [
-                                safety_filter(u, a_mat, b_vec) for u in u_components
-                            ]
-                        raw[k, i] = composite_control(w, u_components)
-                        applied[k, i] = safety_filter(raw[k, i], a_mat, b_vec)
-                    except SafetyInfeasible as exc:
-                        infeasible_agent = i
-                        infeasible_constraints = tuple(
-                            int(j) for j in exc.constraint_ids
-                        )
-                        break
-                else:
-                    raw[k, i] = applied[k, i] = composite_control(w, u_components)
-                ess[k, i] = min(est.effective_sample_size for est in ests)
-                weights[k, i] = w
-            if infeasible_agent is not None:
-                finished = [f or EXIT_INFEASIBLE for f in finished]
-                break
-            for i in active:
-                dw = sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
-                x[i] = em_step(dyn, x[i], applied[k, i], dt, dw)
-                states[k + 1, i] = x[i]
-                steps[i] += 1
-                if reached(i):
-                    finished[i] = EXIT_TARGET
-                elif not (xlo < x[i][0] < xhi and ylo < x[i][1] < yhi):
-                    # Leaving the arena is a failed run; recorded as a timeout
-                    # since the exit-reason vocabulary is fixed.
-                    finished[i] = EXIT_MAX_TIME
-            # A finished agent's rows past its last step are never read.
-            h[k + 1], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
+    try:
+        with _integrator() as start:
+            for k in range(max_steps):
+                active = [i for i, f in enumerate(finished) if f is None]
+                if not active:
+                    break
+                # All active agents estimate from the same states, then each moves.
+                for slot, i in enumerate(active):
+                    stream = base.child(KIND_ROLLOUT, i, k)
+                    dw = next_dw if stream == next_stream else samplers[i].draw(stream)
+                    joint = assemble_joint(subsystems[i], x)
+                    integrated = start(samplers[i].integrate, joint, dw)
+                    if slot + 1 < len(active):
+                        nk, ni = k, active[slot + 1]
+                    else:
+                        nk, ni = k + 1, active[0]
+                    next_stream = next_dw = None
+                    if nk < max_steps:
+                        next_stream = base.child(KIND_ROLLOUT, ni, nk)
+                        next_dw = samplers[ni].draw(next_stream)
+                    batch = integrated()
+                    ests = [
+                        estimate_optimal_control(batch, phi, lam)
+                        for phi in comp_final[i]
+                    ]
+                    w = state_weights(
+                        mix_weights[i], [est.log_desirability for est in ests]
+                    )
+                    # Block 0 is the central agent, the only block it applies.
+                    u = raw[k, i] = composite_control(
+                        w, [est.control[:UAV_INPUTS] for est in ests]
+                    )
+                    if filtered:
+                        u = safety_filter(u, a_all[i], b_all[i])
+                    applied[k, i] = u
+                    ess[k, i] = min(est.effective_sample_size for est in ests)
+                    weights[k, i] = w
+                for i in active:
+                    dw = sim_gens[i].normal(0.0, np.sqrt(dt), size=UAV_INPUTS)
+                    x[i] = em_step(dyn, x[i], applied[k, i], dt, dw)
+                    states[k + 1, i] = x[i]
+                    steps[i] += 1
+                    if reached(i):
+                        finished[i] = EXIT_TARGET
+                    elif not (xlo < x[i][0] < xhi and ylo < x[i][1] < yhi):
+                        # Leaving the arena is a failed run; recorded as a
+                        # timeout since the exit-reason vocabulary is fixed.
+                        finished[i] = EXIT_MAX_TIME
+                # A finished agent's rows past its last step are never read.
+                h[k + 1], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
+    except SafetyInfeasible as exc:
+        # Only the filter raises it, for agent i at step k: every unfinished
+        # agent halts with the controls of steps [0, k).
+        infeasible_agent = i
+        infeasible_constraints = tuple(int(j) for j in exc.constraint_ids)
+        finished = [f or EXIT_INFEASIBLE for f in finished]
 
     records = [
         AgentRecord(

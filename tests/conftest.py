@@ -57,6 +57,13 @@ def tiny_composite_dict() -> dict:
     return sc
 
 
+def corridor_composite_dict() -> dict:
+    """The tiny composite with a disc beside the corridor that binds the filter."""
+    sc = tiny_composite_dict()
+    sc["obstacles"] = [{"center": [8.0, 9.5], "radius": 2.0, "margin": 1.0}]
+    return sc
+
+
 @pytest.fixture
 def write_scenario(tmp_path):
     """Dump a scenario dict to a temp file and load it back."""

@@ -25,6 +25,8 @@ from safe_lsoc.scenarios import (
 )
 from safe_lsoc.sde import KIND_ROLLOUT, NoiseStream
 
+from conftest import corridor_composite_dict
+
 
 def hull_distance(point: np.ndarray, vertices: np.ndarray) -> float:
     """Distance from point to the convex hull of vertex rows.
@@ -248,16 +250,29 @@ class TestExactComposition:
     """The mixed control is the direct estimate under the composite final cost."""
 
     @pytest.mark.parametrize(
-        "name", ["two_target_composition", "five_uav_composition"]
+        "name, mode",
+        [
+            # A baseline run's id is the bare scenario name.
+            pytest.param(
+                name, mode, id=name if mode == "baseline" else f"{name}-{mode}"
+            )
+            for name in ("two_target_composition", "five_uav_composition", "corridor")
+            for mode in ("baseline", "filtered")
+        ],
     )
     def test_mixed_control_equals_estimate_under_composite_final_cost(
-        self, bundled, name
+        self, bundled, write_scenario, name, mode
     ):
         # Under phi = -lam log sum_f w_f exp(-phi_f / lam) the desirability is
-        # the weighted sum of the component ones, so every raw control of a
-        # baseline run equals the estimate on its batch re-scored by phi.
-        sc = bundled(name)
-        res = run_generalization(sc, seed=0, mode="baseline")
+        # the weighted sum of the component ones, so every raw control equals
+        # the estimate on its batch re-scored by phi (Todorov, NIPS 2009).  In
+        # filtered mode too: the filter acts on the mix, and on the corridor
+        # it binds.
+        if name == "corridor":
+            sc = write_scenario(corridor_composite_dict(), name)
+        else:
+            sc = bundled(name)
+        res = run_generalization(sc, seed=0, mode=mode)
         targets, components = sc.task_view()
         lam = sc.pi.temperature
         worst, steps = 0.0, 0

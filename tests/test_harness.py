@@ -32,6 +32,8 @@ from safe_lsoc.lsoc import estimate_optimal_control
 from safe_lsoc.mas import assemble_joint, build_subsystems
 from safe_lsoc.scenarios import (
     ScenarioError,
+    disc_barriers,
+    obstacle_discs,
     subsystem_final_cost,
     subsystem_rollouts,
 )
@@ -45,8 +47,13 @@ from safe_lsoc.sde import (
     SafetyInfeasible,
     em_step,
 )
+from safe_lsoc.zcbf import safety_filter
 
-from conftest import tiny_composite_dict, tiny_scenario_dict
+from conftest import (
+    corridor_composite_dict,
+    tiny_composite_dict,
+    tiny_scenario_dict,
+)
 
 
 def assert_same_run(a: RunResult, b: RunResult) -> None:
@@ -477,17 +484,29 @@ class TestRawControlContract:
         assert compute_metrics(res, tiny_scenario)["filter_activation_count"] > 0
         assert res.agents[0].component_weights is None
 
-    def test_composite_mix_of_filtered_components_is_feasible(
+    def test_composite_applies_the_projection_of_its_mix(
         self, write_scenario
     ):
-        # The disc beside the corridor binds the component controls on about
-        # a third of the steps; their mix, pre-filtered, never needs it.
-        data = tiny_composite_dict()
-        data["obstacles"] = [{"center": [8.0, 9.5], "radius": 2.0, "margin": 1.0}]
-        sc = write_scenario(data, "corridor")
-        res = run_generalization(sc, seed=0, mode="filtered")
-        assert compute_metrics(res, sc)["filter_activation_count"] == 0
-        assert res.agents[0].component_weights is not None
+        # The disc beside the corridor binds the mix on about a third of the
+        # steps; each applied control is the filter's projection of its raw
+        # control onto the half-spaces at the recorded state.
+        sc = write_scenario(corridor_composite_dict(), "corridor")
+        discs, noise_cov = obstacle_discs(sc.obstacles), sc.agent_dynamics().noise_cov
+        for seed in (0, 1, 2):
+            res = run_generalization(sc, seed=seed, mode="filtered")
+            metrics = compute_metrics(res, sc)
+            assert metrics["filter_activation_count"] > 0
+            assert metrics["safety_violation_count"] == 0
+            rec = res.agents[0]
+            assert rec.component_weights is not None
+            for k, (raw_u, u) in enumerate(zip(rec.raw_controls, rec.controls)):
+                # The loop passes the (n_agents, 4) states of step k.
+                _, a_mat, b_vec = disc_barriers(
+                    rec.states[k : k + 1], discs, noise_cov
+                )
+                np.testing.assert_array_equal(
+                    u, safety_filter(raw_u, a_mat[0], b_vec[0])
+                )
 
 
 FORCED_IDS = (0,)
@@ -530,9 +549,9 @@ class TestInfeasibleHalt:
     def test_run_generalization_halts_at_that_step(
         self, tiny_composite, monkeypatch
     ):
-        # Two pre-filtered components plus the mixture: three calls per
-        # step, so call 14 is the second component's filter at step 4.
-        fail_filter_on_call(monkeypatch, 14)
+        # One call per step, on the mix of the two components: call 5 is
+        # step 4.
+        fail_filter_on_call(monkeypatch, 5)
         res = run_generalization(tiny_composite, seed=0, mode="filtered")
         assert res.infeasible_agent == 0
         assert res.infeasible_constraints == FORCED_IDS
@@ -561,6 +580,30 @@ def integration_threads(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harness, "subsystem_rollouts", recording)
     return threads
+
+
+def noise_keys(monkeypatch) -> tuple[list, list]:
+    """Record the stream key of every noise draw and of every integration."""
+    drawn, integrated = [], []
+    real = harness.subsystem_rollouts
+
+    def recording(sc, sub, targets):
+        sampler = real(sc, sub, targets)
+
+        def draw(stream):
+            dw = sampler.draw(stream)
+            # Every drawn array stays alive, so identity names its key.
+            drawn.append((stream, dw))
+            return dw
+
+        def integrate(x0, dw):
+            integrated.append(next((key for key, d in drawn if d is dw), None))
+            return sampler.integrate(x0, dw)
+
+        return sampler._replace(draw=draw, integrate=integrate)
+
+    monkeypatch.setattr(harness, "subsystem_rollouts", recording)
+    return drawn, integrated
 
 
 class TestRolloutPipeline:
@@ -613,6 +656,34 @@ class TestRolloutPipeline:
             run_task(pair_scenario, seed=0, mode="filtered")
         assert threading.enumerate() == before
 
+    @pytest.mark.parametrize("halt", [False, True])
+    def test_look_ahead_draws_each_key_once(
+        self, pair_scenario, monkeypatch, halt
+    ):
+        # The look-ahead drops at most one draw per agent: the one for an
+        # agent-step that did not come after all.
+        if halt:
+            fail_filter_on_call(monkeypatch, 8)
+        drawn, integrated = noise_keys(monkeypatch)
+        res = run_task(pair_scenario, seed=0, mode="filtered")
+        assert res.halted_infeasible == halt
+        keys = [key for key, _ in drawn]
+        assert len(set(keys)) == len(keys)
+        assert None not in integrated
+        assert len(set(integrated)) == len(integrated)
+        assert 0 <= len(keys) - len(integrated) <= pair_scenario.n_agents
+        # The integrated keys are the agent-steps the run took, in loop
+        # order.  Call 8 halts agent 1, the last, at step 3, so both agents
+        # integrated that step too.
+        base = NoiseStream(0)
+        steps = [len(rec.controls) + halt for rec in res.agents]
+        assert integrated == [
+            base.child(KIND_ROLLOUT, i, k)
+            for k in range(max(steps))
+            for i, t in enumerate(steps)
+            if k < t
+        ]
+
     def test_one_usable_cpu_integrates_inline_with_the_same_bytes(
         self, pair_scenario, tmp_path, monkeypatch
     ):
@@ -644,6 +715,7 @@ class TestRolloutPipeline:
         ("three_uav_team", "filtered", "a25fe88c6afada0e", "89831b067575ba30"),
         ("two_target_composition", "filtered", "d6e6504b626bebde", "3ebceab0c050dfb2"),
         ("five_uav_composition", "baseline", "d10056ae247c0b64", "9f8dd6f96a53652c"),
+        ("five_uav_composition", "filtered", "d10056ae247c0b64", "71d8fb349f237de7"),
     ],
 )
 def test_seed_0_outputs_keep_their_digests(
