@@ -175,12 +175,14 @@ def rollout_batch(
 ) -> RolloutBatch:
     """Integrate K passive rollouts, stopping each at its first boundary hit.
 
-    Rollouts that never exit are evaluated at the horizon state. The whole
-    batch is drawn from `stream` in one call, so the batch is a deterministic
-    function of (seed, stream_id) regardless of execution order.  The closed
-    loop samples with scenarios.subsystem_rollouts, which reproduces this
-    function bit for bit for stacked unicycles; this generic form is its
-    oracle and the sampler of the grid-oracle toy problems.
+    Rollouts that never exit are evaluated at the horizon state.  Each step
+    draws its (K, P) rows from the one generator of `stream`, which equals a
+    single (horizon, K, P) draw bit for bit, so the batch is a deterministic
+    function of (seed, stream_id).  Only running paths are stepped; an exit
+    is written to exit_states once.  The closed loop samples with
+    scenarios.subsystem_rollouts, which reproduces this function bit for bit
+    for stacked unicycles; this generic form is its oracle and the sampler
+    of the grid-oracle toy problems.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -196,38 +198,35 @@ def rollout_batch(
 
     dyn = problem.dynamics
     m, p = dyn.state_dim, dyn.input_dim
+    sigma = dyn.noise_cov
+    b_t = dyn.control_matrix.T
     gen = stream.generator()
-    dw = gen.normal(0.0, np.sqrt(dt), size=(horizon, n_rollouts, p))
+    scale = np.sqrt(dt)
+    dw0 = gen.normal(0.0, scale, size=(n_rollouts, p))
 
-    states = np.broadcast_to(x0, (n_rollouts, m)).copy()
-    alive = np.ones(n_rollouts, dtype=bool)
+    states = np.broadcast_to(x0, (n_rollouts, m)).copy()  # the running paths
+    live = np.arange(n_rollouts)  # their rollout indices
     running = np.zeros(n_rollouts)
     exit_states = np.zeros((n_rollouts, m))
     exit_steps = np.full(n_rollouts, horizon, dtype=int)
-
-    sigma = dyn.noise_cov
-    b_t = dyn.control_matrix.T
     for t in range(horizon):
+        dw = gen.normal(0.0, scale, size=(n_rollouts, p))[live] if t else dw0
         q = np.asarray(problem.running_cost(states), dtype=float)
-        running[alive] += q[alive] * dt
-        step = dyn.drift(states) * dt + (dw[t] @ sigma.T) @ b_t
-        new_states = np.where(alive[:, None], states + step, states)
-        hit = problem.domain.boundary_mask(new_states) & alive
+        running[live] += q * dt
+        states = states + (dyn.drift(states) * dt + (dw @ sigma.T) @ b_t)
+        hit = problem.domain.boundary_mask(states)
         if np.any(hit):
-            exit_states[hit] = problem.domain.clamp_exit(new_states[hit])
-            exit_steps[hit] = t + 1
-            alive &= ~hit
-        states = new_states
-        if not np.any(alive):
-            # Remaining steps are no-ops once every path has exited.
-            break
-    if np.any(alive):
-        exit_states[alive] = states[alive]
+            exit_states[live[hit]] = problem.domain.clamp_exit(states[hit])
+            exit_steps[live[hit]] = t + 1
+            live, states = live[~hit], states[~hit]
+            if not live.size:
+                break
+    exit_states[live] = states
 
     return RolloutBatch(
         dt=dt,
         noise_cov=sigma,
-        dw0=dw[0],
+        dw0=dw0,
         exit_states=exit_states,
         exit_steps=exit_steps,
         running_costs=running,

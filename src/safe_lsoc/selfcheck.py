@@ -175,12 +175,6 @@ def filter_projection_check(n_single: int = 600, n_multi: int = 400) -> CheckRes
             f"gap to grid best {max_grid_gap:.2e}, "
             f"{infeasible_checked}/20 infeasible raised"
         ),
-        stats={
-            "max_single_err": max_single_err,
-            "max_residual": max_residual,
-            "max_grid_gap": max_grid_gap,
-            "infeasible_raised": float(infeasible_checked),
-        },
     )
 
 
@@ -316,8 +310,6 @@ def pi_oracle_check(
             f"control signs {sign_hits}/{sign_total} "
             f"(expected {expected_total})"
         ),
-        stats={"worst_rel_err": worst_rel, "sign_hits": float(sign_hits),
-               "sign_total": float(sign_total)},
     )
 
 
@@ -410,12 +402,6 @@ def chain_closed_form_check(n_states: int = 100, grad_states: int = 10) -> Check
             f"relative degree {degree}, "
             f"production half-space err {max_halfspace_err:.2e}"
         ),
-        stats={
-            "max_value_err": max_value_err,
-            "max_grad_err": max_grad_err,
-            "relative_degree": float(degree),
-            "max_halfspace_err": max_halfspace_err,
-        },
     )
 
 

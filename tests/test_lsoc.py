@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from safe_lsoc.lsoc import (
     rollout_batch,
 )
 from safe_lsoc.sde import ControlAffineDynamics, NoiseStream
+from safe_lsoc.selfcheck import _toy_problem_2d
 
 
 def line_problem(sigma: float = 0.5, q: float = 1.0, lam: float = 1.0) -> LsocProblem:
@@ -54,6 +57,63 @@ def synthetic_batch(running_costs, dw0=None, dt=0.01, sigma=0.6) -> RolloutBatch
         exit_steps=np.full(k, 10),
         running_costs=s,
     )
+
+
+def one_draw_rollouts(problem, x0, dt, horizon, n_rollouts, stream) -> RolloutBatch:
+    """rollout_batch as it was: one (horizon, K, P) draw and an alive mask.
+
+    Every path, exited or not, is carried through every step, and the
+    paths that never exit are copied out at the end.  Kept as the reference
+    that the per-step draw over running paths must equal bit for bit.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    dyn = problem.dynamics
+    m, p = dyn.state_dim, dyn.input_dim
+    gen = stream.generator()
+    dw = gen.normal(0.0, np.sqrt(dt), size=(horizon, n_rollouts, p))
+
+    states = np.broadcast_to(x0, (n_rollouts, m)).copy()
+    alive = np.ones(n_rollouts, dtype=bool)
+    running = np.zeros(n_rollouts)
+    exit_states = np.zeros((n_rollouts, m))
+    exit_steps = np.full(n_rollouts, horizon, dtype=int)
+
+    sigma = dyn.noise_cov
+    b_t = dyn.control_matrix.T
+    for t in range(horizon):
+        q = np.asarray(problem.running_cost(states), dtype=float)
+        running[alive] += q[alive] * dt
+        step = dyn.drift(states) * dt + (dw[t] @ sigma.T) @ b_t
+        new_states = np.where(alive[:, None], states + step, states)
+        hit = problem.domain.boundary_mask(new_states) & alive
+        if np.any(hit):
+            exit_states[hit] = problem.domain.clamp_exit(new_states[hit])
+            exit_steps[hit] = t + 1
+            alive &= ~hit
+        states = new_states
+        if not np.any(alive):
+            break
+    if np.any(alive):
+        exit_states[alive] = states[alive]
+
+    return RolloutBatch(
+        dt=dt,
+        noise_cov=sigma,
+        dw0=dw[0],
+        exit_states=exit_states,
+        exit_steps=exit_steps,
+        running_costs=running,
+    )
+
+
+def ball_box_problem() -> LsocProblem:
+    """The 2-D toy with a target ball inside its box: ball exits keep their state."""
+    toy = _toy_problem_2d()[0]
+    domain = UnionDomain([
+        BallBoundary((0, 1), np.array([0.4, -0.2]), 0.25),
+        toy.domain,
+    ])
+    return LsocProblem(toy.dynamics, toy.running_cost, domain, toy.lam)
 
 
 class TestDomains:
@@ -160,6 +220,59 @@ class TestRolloutBatch:
                 p, np.zeros(1), args["dt"], args["horizon"], args["n_rollouts"],
                 NoiseStream(0),
             )
+
+
+class TestPerStepDraw:
+    # (problem, x0, dt, horizon, K): paths alive at the horizon, clamped box
+    # exits, unclamped ball exits beside box exits, and a horizon that
+    # outlasts every path, so the loop breaks early.
+    CASES = {
+        "line_alive_at_horizon": (line_problem, [0.0], 0.02, 40, 256),
+        "toy_2d_box_clamped": (lambda: _toy_problem_2d()[0], [0.5, 0.6], 0.01, 150, 400),
+        "ball_and_box": (ball_box_problem, [0.0, 0.0], 0.01, 200, 400),
+        "all_exit_early": (line_problem, [0.9], 0.02, 2000, 64),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_the_one_draw_integrator(self, case):
+        make, x0, dt, horizon, k = self.CASES[case]
+        problem = make()
+        got = rollout_batch(problem, np.array(x0), dt, horizon, k, NoiseStream(7, 2))
+        want = one_draw_rollouts(problem, np.array(x0), dt, horizon, k, NoiseStream(7, 2))
+        assert got.dt == want.dt
+        for attr in ("noise_cov", "dw0", "exit_states", "exit_steps", "running_costs"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.shape == b.shape, attr
+            assert np.array_equal(a, b), attr
+
+        exited = got.exit_steps < horizon
+        if case == "all_exit_early":
+            assert np.all(exited)
+        else:
+            assert 0 < np.sum(exited) < k
+        if case == "toy_2d_box_clamped":
+            assert np.all(np.abs(got.exit_states) <= 1.0)
+            assert np.all(np.max(np.abs(got.exit_states[exited]), axis=1) == 1.0)
+        if case == "ball_and_box":
+            ball = problem.domain.parts[0]
+            in_ball = ball.boundary_mask(got.exit_states) & exited
+            d = np.linalg.norm(got.exit_states[in_ball] - ball.center, axis=1)
+            assert np.any(in_ball) and np.any(exited & ~in_ball)
+            assert np.all(d < ball.radius)  # not moved onto the sphere
+
+    def test_peak_memory_is_not_horizon_sized(self):
+        # Every path runs the whole horizon.
+        p = line_problem(sigma=0.01)
+        horizon, k = 3000, 1000
+        noise_bytes = horizon * k * 8  # the (horizon, K, 1) draw, 24 MB
+        tracemalloc.start()
+        try:
+            batch = rollout_batch(p, np.zeros(1), 1e-3, horizon, k, NoiseStream(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(batch.exit_steps == horizon)
+        assert peak < noise_bytes / 8, f"peak {peak / 1e6:.1f} MB"
 
 
 def desirability(batch: RolloutBatch, lam: float) -> float:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from safe_lsoc.mas import build_subsystems
+from safe_lsoc.lsoc import rollout_batch
+from safe_lsoc.mas import assemble_joint, build_subsystems
 from safe_lsoc.scenarios import (
     UAV_DIM,
     UAV_INPUTS,
@@ -31,10 +34,11 @@ from safe_lsoc.scenarios import (
     subsystem_composition_weights,
     subsystem_final_cost,
     subsystem_problem,
+    subsystem_rollouts,
     uav_drift,
     uav_dynamics,
 )
-from safe_lsoc.sde import ControlAffineDynamics
+from safe_lsoc.sde import ControlAffineDynamics, NoiseStream
 from safe_lsoc.selfcheck import BATCH_ARRAYS, rollout_kernel_check
 from safe_lsoc.zcbf import (
     BarrierFunction,
@@ -662,3 +666,141 @@ class TestRolloutKernel:
         assert check.stats["ball_exits"] > 0
         assert check.stats["box_exits"] > 0
         assert check.stats["mixed_batches"] > 0
+
+
+# Generated scenarios: 60 x 60 arena, starts and targets in the band
+# 4 <= y <= 36, disc centres at y >= 48, so every start and target is at
+# least d = 12 from every disc centre.  With a keep-out radius rho <= 3 and a
+# speed v <= 2.5 each start is in every disc's safe set: h1 >= 0 needs
+# d^2 - 2 v d - rho^2 >= 0, which holds for d >= 6.4.
+_ARENA = [[0.0, 60.0], [0.0, 60.0]]
+
+
+def _generated_dict(agents, edges, coop_pairs, discs, draws) -> dict:
+    """A single-task scenario dict around the given agents, graph and discs."""
+    return {
+        "agents": agents,
+        "edges": edges,
+        "obstacles": discs,
+        "costs": {
+            "goal_weight": draws["goal_weight"],
+            "pair_weight": draws["pair_weight"],
+            "coop_pairs": coop_pairs,
+        },
+        "pi": {
+            "rollouts": draws["rollouts"],
+            "horizon_steps": draws["horizon"],
+            "temperature": 0.1,
+            "sigma": draws["sigma"],
+            "nu": draws["nu"],
+        },
+        "sim": {
+            "dt": draws["dt"],
+            "max_time": 1.0,
+            "seeds": [0],
+            "target_radius": 1.5,
+            "domain": _ARENA,
+        },
+        "task": {"mode": "single"},
+    }
+
+
+@st.composite
+def scenario_dicts(draw) -> dict:
+    """Valid scenarios: 1-4 agents, random edges and cooperation pairs, 0-3 discs."""
+    angle = st.floats(-math.pi, math.pi)
+    agents = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = draw(st.floats(12.0, 48.0)), draw(st.floats(12.0, 28.0))
+        reach, bearing = draw(st.floats(2.5, 8.0)), draw(angle)
+        agents.append({
+            "start": [x, y, draw(st.floats(0.0, 2.5)), draw(angle)],
+            "target": [x + reach * math.cos(bearing), y + reach * math.sin(bearing)],
+        })
+    pairs = [[i, j] for i in range(len(agents)) for j in range(i + 1, len(agents))]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    coop = [pair for pair in edges if draw(st.booleans())]
+    discs = [
+        {
+            "center": [draw(st.floats(3.0, 57.0)), draw(st.floats(48.0, 57.0))],
+            "radius": draw(st.floats(0.5, 2.0)),
+            "margin": draw(st.floats(0.0, 1.0)),
+        }
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    draws = {
+        "goal_weight": draw(st.floats(0.5, 2.0)),
+        "pair_weight": draw(st.floats(0.0, 1.0)),
+        "rollouts": draw(st.integers(16, 64)),
+        "horizon": draw(st.integers(3, 12)),
+        "sigma": draw(st.floats(0.02, 0.3)),
+        "nu": draw(st.floats(0.01, 0.3)),
+        "dt": draw(st.floats(0.02, 0.1)),
+    }
+    return _generated_dict(agents, edges, coop, discs, draws)
+
+
+def two_partner_dict(n_discs: int) -> dict:
+    """Agent 0 cooperates with agents 1 and 2, both in its subsystem."""
+    agents = [
+        {"start": [20.0, 20.0, 1.0, 0.3], "target": [26.0, 24.0]},
+        {"start": [16.0, 14.0, 2.0, -1.0], "target": [22.0, 30.0]},
+        {"start": [30.0, 16.0, 0.5, 2.0], "target": [24.0, 10.0]},
+    ]
+    discs = [
+        {"center": [10.0 + 15.0 * k, 50.0], "radius": 2.0, "margin": 1.0}
+        for k in range(n_discs)
+    ]
+    draws = {"goal_weight": 0.8, "pair_weight": 0.5, "rollouts": 48,
+             "horizon": 10, "sigma": 0.05, "nu": 0.025, "dt": 0.05}
+    edges = [[0, 1], [0, 2]]
+    return _generated_dict(agents, edges, edges, discs, draws)
+
+
+def _starts_at_the_exits(sc, sub, targets) -> list[np.ndarray]:
+    """The joint start, then the central agent at rest 1e-7 outside its target
+    ball and 1e-7 inside an arena edge, facing out of the interior.
+
+    From rest the speed noise decides each path's first move, so about half
+    of the paths exit at step 2 and the rest run on.
+    """
+    joint = assemble_joint(sub, [a.start for a in sc.agents])
+    bearing = 0.7 * (sub.central + 1)
+    to_ball = joint.copy()
+    to_ball[:UAV_DIM] = [
+        *(targets[sub.central]
+          + (sc.sim.target_radius + 1e-7) * np.array([math.cos(bearing), math.sin(bearing)])),
+        0.0,
+        bearing + math.pi,
+    ]
+    edge = sub.central % 4  # +x, -x, +y, -y
+    to_box = joint.copy()
+    to_box[edge // 2] = sc.sim.domain[edge // 2][1 - edge % 2] + (-1e-7, 1e-7)[edge % 2]
+    to_box[2:UAV_DIM] = [0.0, (0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi)[edge]]
+    return [joint, to_ball, to_box]
+
+
+class TestGeneratedScenarioKernel:
+    @given(raw=scenario_dicts())
+    @example(raw=two_partner_dict(n_discs=0))
+    @example(raw=two_partner_dict(n_discs=3))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_kernel_matches_rollout_batch(self, raw, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "generated.json"
+        path.write_text(json.dumps(raw))
+        sc = load_scenario(path)
+        targets, _ = sc.task_view()
+        dt, horizon, k = sc.sim.dt, sc.pi.horizon_steps, sc.pi.rollouts
+        for sub in build_subsystems(sc.graph):
+            kernel = subsystem_rollouts(sc, sub, targets)
+            problem = subsystem_problem(sc, sub, targets)
+            for j, x0 in enumerate(_starts_at_the_exits(sc, sub, targets)):
+                stream = NoiseStream(3).child(5, sub.central, j)
+                got = kernel.sample(x0, stream)
+                want = rollout_batch(problem, x0, dt, horizon, k, stream)
+                for attr in (*BATCH_ARRAYS, "noise_cov"):
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr)), (
+                        f"agent {sub.central}, start {j}: {attr}"
+                    )
+                if j:
+                    assert np.any(want.exit_steps < horizon)
