@@ -131,11 +131,11 @@ def _run_closed_loop(
     this thread draws the next batch's noise (see _integrator).  The raw
     control is the mix of the unfiltered component estimates under the
     kernel and desirability weights (a lone component's weight is 1); in
-    filtered mode the applied control is its projection onto the barrier
-    half-spaces, one filter call per agent-step.  An empty intersection
-    halts every unfinished agent.  Component weights are recorded for
-    composite scenarios only.  runner names the public runner, which takes
-    scenarios of task_mode only.
+    filtered mode the applied control is its projection onto the half-spaces
+    of the discs at the step's states, one filter call per agent-step.  An
+    empty intersection halts every unfinished agent.  Barrier levels come
+    from the recorded states.  Component weights are recorded for composite
+    scenarios only; runner names the public runner, for task_mode only.
     """
     if sc.task.mode != task_mode:
         raise ScenarioError(f"{runner} requires a scenario with task.mode {task_mode}")
@@ -156,18 +156,15 @@ def _run_closed_loop(
 
     # Step-major records: row k is control step k.  An agent acts at every
     # step until it finishes, so agent i owns rows [0, steps[i]) of the
-    # controls and rows [0, steps[i]] of the states and barrier values.
+    # controls and rows [0, steps[i]] of the states.
     x = np.array([a.start for a in sc.agents], dtype=float)
     states = np.empty((max_steps + 1, n, UAV_DIM))
-    h = np.empty((max_steps + 1, n, len(discs), 2))
     raw = np.empty((max_steps, n, UAV_INPUTS))
     applied = np.empty((max_steps, n, UAV_INPUTS))
     ess = np.empty((max_steps, n))
     weights = np.empty((max_steps, n, len(components)))
     steps = np.zeros(n, dtype=int)
     states[0] = x
-    # A (n, n_obs, 2) and b (n, n_obs): every disc's half-spaces at x.
-    h[0], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
     sim_gens = [base.child(KIND_SIM, i, 0).generator() for i in range(n)]
     infeasible_agent = infeasible_constraints = None
 
@@ -198,6 +195,8 @@ def _run_closed_loop(
                 active = [i for i, f in enumerate(finished) if f is None]
                 if not active:
                     break
+                if filtered:  # A (n, n_obs, 2), b (n, n_obs): the discs' half-spaces
+                    _, a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
                 # All active agents estimate from the same states, then each moves.
                 for slot, i in enumerate(active):
                     stream = base.child(KIND_ROLLOUT, i, k)
@@ -240,8 +239,6 @@ def _run_closed_loop(
                         # Leaving the arena is a failed run; recorded as a
                         # timeout since the exit-reason vocabulary is fixed.
                         finished[i] = EXIT_MAX_TIME
-                # A finished agent's rows past its last step are never read.
-                h[k + 1], a_all, b_all = disc_barriers(x, discs, dyn.noise_cov)
     except SafetyInfeasible as exc:
         # Only the filter raises it, for agent i at step k: every unfinished
         # agent halts with the controls of steps [0, k).
@@ -257,7 +254,7 @@ def _run_closed_loop(
             exit_reason=finished[i] or EXIT_MAX_TIME,
             raw_controls=raw[:t, i],
             ess=ess[:t, i],
-            h_values=h[: t + 1, i],
+            h_values=disc_barriers(states[: t + 1, i], discs, dyn.noise_cov)[0],
             component_weights=weights[:t, i] if composite else None,
         )
         for i, t in enumerate(steps)
@@ -573,10 +570,11 @@ def margin_sweep(
     margins: Sequence[float],
     seeds: Sequence[int] | None = None,
 ) -> list[SweepRow]:
-    """Re-run the scenario at each commanded margin, both control modes.
+    """Run the scenario at each commanded margin, both control modes.
 
-    Every margin's obstacles are validated before the first run; the error
-    of an invalid one names the margin.
+    Only the filter reads the margin, so one baseline run per seed serves
+    every margin.  Every margin's obstacles are validated before the first
+    run; the error of an invalid one names the margin.
     """
     if sc.task.mode != "single":
         raise ScenarioError("margin sweep requires a single-task scenario")
@@ -592,10 +590,12 @@ def margin_sweep(
         except ScenarioError as exc:
             raise ScenarioError(f"--margins {margin}: {exc}") from exc
         variants.append((margin, sc_m))
+    baseline = run_seeds(sc, seeds, mode=MODE_BASELINE)
     rows = []
     for margin, sc_m in variants:
-        for mode in (MODE_BASELINE, MODE_FILTERED):
-            for res in run_seeds(sc_m, seeds, mode=mode):
+        filtered = run_seeds(sc_m, seeds, mode=MODE_FILTERED)
+        for mode, results in ((MODE_BASELINE, baseline), (MODE_FILTERED, filtered)):
+            for res in results:
                 metrics = compute_metrics(res, sc_m)
                 for j, ob in enumerate(sc_m.obstacles):
                     rows.append(

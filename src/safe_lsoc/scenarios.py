@@ -28,7 +28,7 @@ from .lsoc import (
     UnionDomain,
 )
 from .mas import AgentGraph, FactorialSubsystem, build_subsystems, joint_dynamics
-from .sde import ControlAffineDynamics, NoiseStream
+from .sde import MAX_AGENTS, MAX_STEPS, ControlAffineDynamics, NoiseStream
 
 __all__ = [
     "Obstacle",
@@ -495,6 +495,11 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
 
     if not isinstance(raw["agents"], list) or not raw["agents"]:
         raise ScenarioError("agents: expected a non-empty list")
+    if len(raw["agents"]) > MAX_AGENTS:
+        raise ScenarioError(
+            f"agents: {len(raw['agents'])} agents; the noise streams address "
+            f"at most {MAX_AGENTS}"
+        )
     agents = tuple(
         _read(AgentSpec, entry, f"agents[{i}]", _AGENT_RULES)
         for i, entry in enumerate(raw["agents"])
@@ -519,6 +524,12 @@ def load_scenario(path: str | Path, name: str | None = None) -> Scenario:
     })
     pi = _read(PiParams, raw.get("pi", {}), "pi", _PI_RULES)
     sim = _read(SimParams, raw["sim"], "sim", _SIM_RULES)
+    # The ratio test comes first: an infinite ratio has no step count.
+    if not sim.max_time / sim.dt < MAX_STEPS or sim.max_steps >= MAX_STEPS:
+        raise ScenarioError(
+            f"sim.max_time: {sim.max_time} over sim.dt {sim.dt} is {MAX_STEPS} "
+            "control steps or more; the noise streams address fewer"
+        )
     if sim.max_steps < 1:
         raise ScenarioError(
             f"sim.max_time: {sim.max_time} rounds to no control step of "

@@ -18,6 +18,8 @@ __all__ = [
     "NoiseStream",
     "SimulationError",
     "derive_stream_id",
+    "MAX_AGENTS",
+    "MAX_STEPS",
     "KIND_SIM",
     "KIND_ROLLOUT",
     "em_step",
@@ -32,15 +34,17 @@ EXIT_INFEASIBLE = "safety_infeasible"
 KIND_SIM = 1
 KIND_ROLLOUT = 2
 _KIND_BITS, _AGENT_BITS, _STEP_BITS = 4, 14, 46
+# A stream id addresses agents [0, MAX_AGENTS) and steps [0, MAX_STEPS).
+MAX_AGENTS, MAX_STEPS = 2**_AGENT_BITS, 2**_STEP_BITS
 
 
 def derive_stream_id(kind: int, agent: int = 0, step: int = 0) -> int:
     """Pack (kind, agent, step) into a single non-negative stream id."""
     if not 0 <= kind < 2**_KIND_BITS:
         raise ValueError(f"kind {kind} out of range")
-    if not 0 <= agent < 2**_AGENT_BITS:
+    if not 0 <= agent < MAX_AGENTS:
         raise ValueError(f"agent index {agent} out of range")
-    if not 0 <= step < 2**_STEP_BITS:
+    if not 0 <= step < MAX_STEPS:
         raise ValueError(f"step index {step} out of range")
     return (kind << (_AGENT_BITS + _STEP_BITS)) | (agent << _STEP_BITS) | step
 

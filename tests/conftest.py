@@ -64,6 +64,23 @@ def corridor_composite_dict() -> dict:
     return sc
 
 
+def past_the_noise_keys(case: str) -> tuple[dict, str]:
+    """The tiny scenario past a limit of the noise-key layout, and the field named.
+
+    A stream id packs the agent into 14 bits and the control step into 46:
+    "agents" has 2**14 + 1 agents, "steps" 1e14 control steps, and "ratio"
+    a max_time / dt that overflows to infinity.
+    """
+    data = tiny_scenario_dict()
+    if case == "agents":
+        data["agents"] *= 2**14 + 1
+        return data, "agents"
+    data["sim"]["max_time"], data["sim"]["dt"] = {
+        "steps": (1e9, 1e-5), "ratio": (1e308, 1e-10)
+    }[case]
+    return data, "sim.max_time"
+
+
 @pytest.fixture
 def write_scenario(tmp_path):
     """Dump a scenario dict to a temp file and load it back."""

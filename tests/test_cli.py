@@ -13,7 +13,7 @@ from safe_lsoc import cli, harness
 from safe_lsoc.harness import RunResult, run_task
 from safe_lsoc.sde import EXIT_INFEASIBLE
 
-from conftest import tiny_composite_dict, tiny_scenario_dict
+from conftest import past_the_noise_keys, tiny_composite_dict, tiny_scenario_dict
 
 
 @pytest.fixture
@@ -225,6 +225,17 @@ def test_kernel_width_underflowing_every_weight_rejected(
     code = cli.main([args[0], str(path), *args[1:]])
     assert code == cli.EXIT_INVALID
     assert "error: task.kernel_width: agent 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["agents", "steps"])
+def test_beyond_the_noise_keys_is_an_invalid_exit(
+    case, scenario_path_factory, capsys
+):
+    data, field = past_the_noise_keys(case)
+    path = scenario_path_factory(data, case)
+    code = cli.main(["run", str(path), "--seeds", "0"])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -344,7 +345,39 @@ class TestExport:
         assert loaded["infeasible_constraints"] is None
 
 
+def per_margin_sweep(sc, margins, seeds) -> list[harness.SweepRow]:
+    """Reference: the sweep that re-runs both modes at every margin."""
+    rows = []
+    for margin in margins:
+        obstacles = tuple(dataclasses.replace(ob, margin=margin) for ob in sc.obstacles)
+        sc_m = dataclasses.replace(sc, obstacles=obstacles)
+        for mode in ("baseline", "filtered"):
+            for res in run_seeds(sc_m, seeds, mode=mode):
+                distances = compute_metrics(res, sc_m)["min_center_distance"]
+                rows += [
+                    harness.SweepRow(margin, res.seed, mode, j, distances[j],
+                                     ob.radius + margin)
+                    for j, ob in enumerate(sc_m.obstacles)
+                ]
+    return rows
+
+
 class TestMarginSweep:
+    def test_one_baseline_run_per_seed_serves_every_margin(
+        self, tiny_scenario, monkeypatch
+    ):
+        want = per_margin_sweep(tiny_scenario, [0.0, 1.5], [0, 1])
+        modes = []
+        real = harness.run_seeds
+
+        def counting(sc, seeds, mode="filtered", runner=run_task):
+            modes.append(mode)
+            return real(sc, seeds, mode=mode, runner=runner)
+
+        monkeypatch.setattr(harness, "run_seeds", counting)
+        assert margin_sweep(tiny_scenario, [0.0, 1.5], seeds=[0, 1]) == want
+        assert modes == ["baseline", "filtered", "filtered"]
+
     def test_rows_cover_margins_modes_and_clearance(self, tiny_scenario):
         rows = margin_sweep(tiny_scenario, [0.0, 1.5], seeds=[0])
         assert len(rows) == 2 * 2 * 1 * 1
@@ -564,6 +597,62 @@ class TestInfeasibleHalt:
         )
 
 
+def disc_barrier_states(monkeypatch) -> list[np.ndarray]:
+    """Record a copy of the states of every disc_barriers call of the harness."""
+    states = []
+    real = harness.disc_barriers
+
+    def recording(x, discs, noise_cov):
+        states.append(np.array(x))
+        return real(x, discs, noise_cov)
+
+    monkeypatch.setattr(harness, "disc_barriers", recording)
+    return states
+
+
+class TestBarrierEvaluation:
+    """The discs reach a run through the filter and the record build only."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "filtered"])
+    def test_one_call_per_filtered_step_and_one_per_record(
+        self, pair_scenario, monkeypatch, mode
+    ):
+        calls = disc_barrier_states(monkeypatch)
+        res = run_task(pair_scenario, seed=0, mode=mode)
+        n = pair_scenario.n_agents
+        in_loop, build = calls[:-n], calls[-n:]
+        # The record build evaluates each agent's recorded states once.
+        for rec, x in zip(res.agents, build):
+            np.testing.assert_array_equal(x, rec.states)
+        if mode == "baseline":
+            assert in_loop == []
+            return
+        # One call at the top of every step taken, at every agent's state
+        # of that step; a finished agent holds its last state.
+        assert len(in_loop) == max(len(rec.controls) for rec in res.agents)
+        for k, x in enumerate(in_loop):
+            np.testing.assert_array_equal(
+                x, [rec.states[min(k, len(rec.states) - 1)] for rec in res.agents]
+            )
+
+    def test_halted_run_levels_are_its_recorded_rows(
+        self, pair_scenario, monkeypatch
+    ):
+        # Call 8 halts agent 1 at step 3: steps 0-3 each evaluated the discs.
+        fail_filter_on_call(monkeypatch, 8)
+        calls = disc_barrier_states(monkeypatch)
+        res = run_task(pair_scenario, seed=0, mode="filtered")
+        assert res.infeasible_agent == 1
+        assert len(calls) == 4 + pair_scenario.n_agents
+        discs = obstacle_discs(pair_scenario.obstacles)
+        noise_cov = pair_scenario.agent_dynamics().noise_cov
+        for rec in res.agents:
+            assert len(rec.states) == 4
+            assert np.array_equal(
+                rec.h_values, disc_barriers(rec.states, discs, noise_cov)[0]
+            )
+
+
 def integration_threads(monkeypatch) -> list[int]:
     """Record the thread of every integration stage the closed loop runs."""
     threads = []
@@ -724,7 +813,10 @@ def test_seed_0_outputs_keep_their_digests(
     """sha256 prefixes of the trajectory CSV and of the metrics JSON.
 
     The metrics are hashed without wall_time_s, as json.dumps(sort_keys=True).
-    The digests were recorded on numpy 2.4.6 / x86-64.  A change that alters
+    The digests were recorded on numpy 2.4.6 / x86-64, and they hold where
+    numpy takes its AVX-512 float64 exp and log paths, which the run reads in
+    lsoc.estimate_optimal_control and compose.state_weights; elsewhere those
+    differ by up to one ulp, and so do the bytes.  A change that alters
     trajectories on purpose (ROADMAP items 3 and 8) records them again and
     lists that in CHANGES.md.
     """

@@ -9,10 +9,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from safe_lsoc.lsoc import rollout_batch
+from safe_lsoc import harness
+from safe_lsoc.compose import composite_final_cost
+from safe_lsoc.harness import run_generalization, run_task, write_trajectories_csv
+from safe_lsoc.lsoc import estimate_optimal_control, rollout_batch
 from safe_lsoc.mas import assemble_joint, build_subsystems
 from safe_lsoc.scenarios import (
     UAV_DIM,
@@ -38,7 +41,7 @@ from safe_lsoc.scenarios import (
     uav_drift,
     uav_dynamics,
 )
-from safe_lsoc.sde import ControlAffineDynamics, NoiseStream
+from safe_lsoc.sde import KIND_ROLLOUT, ControlAffineDynamics, NoiseStream
 from safe_lsoc.selfcheck import BATCH_ARRAYS, rollout_kernel_check
 from safe_lsoc.zcbf import (
     BarrierFunction,
@@ -47,7 +50,7 @@ from safe_lsoc.zcbf import (
     detect_relative_degree,
 )
 
-from conftest import tiny_composite_dict, tiny_scenario_dict
+from conftest import past_the_noise_keys, tiny_composite_dict, tiny_scenario_dict
 
 
 def _with_second_agent(data: dict, edges: list) -> None:
@@ -567,6 +570,17 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="seeds"):
             write_scenario(data)
 
+    @pytest.mark.parametrize("case", ["agents", "steps", "ratio"])
+    def test_beyond_the_noise_keys_rejected(self, write_scenario, case):
+        data, field = past_the_noise_keys(case)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: "):
+            write_scenario(data)
+
+    def test_last_addressable_step_count_loads(self, write_scenario):
+        data = tiny_scenario_dict()
+        data["sim"]["max_time"] = (2**46 - 1) * data["sim"]["dt"]
+        assert write_scenario(data).sim.max_steps == 2**46 - 1
+
     def test_targets_broadcast_to_all_agents(self, write_scenario):
         data = tiny_composite_dict()
         sc = write_scenario(data)
@@ -804,3 +818,170 @@ class TestGeneratedScenarioKernel:
                     )
                 if j:
                     assert np.any(want.exit_steps < horizon)
+
+
+def _load_generated(raw: dict, tmp_path_factory, name: str = "generated"):
+    path = tmp_path_factory.getbasetemp() / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return load_scenario(path, name=name)
+
+
+def _steps(raw: dict, steps: int) -> dict:
+    """raw with a run budget of the given number of control steps."""
+    raw["sim"]["max_time"] = steps * raw["sim"]["dt"]
+    return raw
+
+
+@st.composite
+def composite_dicts(draw) -> dict:
+    """Generated scenarios turned composite: 1-3 components around the agents'
+    targets, each with its own terminal cost or the shared one, blended back
+    to those targets in an 8-step run."""
+    raw = _steps(draw(scenario_dicts()), 8)
+    offset = st.floats(-3.0, 3.0)
+    components = []
+    for f in range(draw(st.integers(1, 3))):
+        comp = {
+            "id": f"c{f}",
+            "targets": [
+                [a["target"][0] + draw(offset), a["target"][1] + draw(offset)]
+                for a in raw["agents"]
+            ],
+        }
+        if draw(st.booleans()):
+            comp["final"] = {
+                "c": draw(st.floats(0.0, 2.0)),
+                "d": draw(st.floats(0.5, 4.0)),
+                "alpha": draw(st.floats(0.0, 1.0)),
+            }
+        components.append(comp)
+    raw["task"] = {
+        "mode": "composite",
+        "components": components,
+        "new_target": [a["target"] for a in raw["agents"]],
+        "kernel_width": draw(st.floats(0.02, 0.5)),
+    }
+    return raw
+
+
+class TestGeneratedScenarioRuns:
+    """Closed-loop properties of short runs on generated scenarios."""
+
+    @given(
+        raw=scenario_dicts(),
+        radius=st.floats(0.5, 2.0),
+        margins=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+        gap=st.floats(0.01, 0.3),
+        side=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_baseline_run_does_not_read_the_margin(
+        self, raw, radius, margins, gap, side, tmp_path_factory
+    ):
+        # The premise of margin_sweep's one baseline run per seed: only the
+        # filter reads the margin, never the sampled controller.  A disc
+        # beside agent 0's start, square to its heading and just outside the
+        # wider keep-out, puts rollouts in the ring the two margins tell apart.
+        x, y, _, heading = raw["agents"][0]["start"]
+        reach = radius + max(margins) + gap
+        raw["obstacles"].append({
+            "center": [x - side * reach * math.sin(heading),
+                       y + side * reach * math.cos(heading)],
+            "radius": radius,
+            "margin": 0.0,
+        })
+        runs = []
+        for k, margin in enumerate(margins):
+            for disc in raw["obstacles"]:
+                disc["margin"] = margin
+            try:
+                sc = _load_generated(_steps(raw, 5), tmp_path_factory, f"m{k}")
+            except ScenarioError:
+                reject()  # the disc covers another agent's start or a target
+            runs.append(run_task(sc, 0, mode="baseline"))
+        for a, b in zip(*(res.agents for res in runs)):
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.controls, b.controls)
+            assert np.array_equal(a.raw_controls, b.raw_controls)
+
+    @given(raw=composite_dicts(), mode=st.sampled_from(["baseline", "filtered"]))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_mix_equals_estimate_under_composite_final_cost(
+        self, raw, mode, tmp_path_factory
+    ):
+        # TestExactComposition's check, on generated composites.
+        sc = _load_generated(raw, tmp_path_factory)
+        res = run_generalization(sc, seed=0, mode=mode)
+        targets, components = sc.task_view()
+        lam = sc.pi.temperature
+        steps = 0
+        for sub in build_subsystems(sc.graph):
+            finals = [subsystem_final_cost(sc, sub, comp) for comp in components]
+            phi = composite_final_cost(
+                finals, subsystem_composition_weights(sc, sub), lam
+            )
+            sample = subsystem_rollouts(sc, sub, targets).sample
+            i = sub.central
+            for k, u_mix in enumerate(res.agents[i].raw_controls):
+                # A finished agent holds its last state.
+                states = [
+                    rec.states[min(k, len(rec.states) - 1)] for rec in res.agents
+                ]
+                batch = sample(
+                    assemble_joint(sub, states),
+                    NoiseStream(0).child(KIND_ROLLOUT, i, k),
+                )
+                u = estimate_optimal_control(batch, phi, lam).control[:UAV_INPUTS]
+                assert np.linalg.norm(u_mix - u) <= 1e-12 * np.linalg.norm(u), (
+                    f"agent {i}, step {k}"
+                )
+                steps += 1
+        assert steps == sum(len(rec.raw_controls) for rec in res.agents)
+
+    @given(raw=scenario_dicts(), mode=st.sampled_from(["baseline", "filtered"]))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_csv_bytes_do_not_depend_on_usable_cpus(
+        self, raw, mode, tmp_path_factory
+    ):
+        sc = _load_generated(_steps(raw, 5), tmp_path_factory)
+        csv_bytes = []
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "_usable_cpus", lambda: cpus)
+                res = run_task(sc, 0, mode=mode)
+            path = tmp_path_factory.getbasetemp() / f"cpus{cpus}.csv"
+            csv_bytes.append(write_trajectories_csv(res, path).read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]
+
+    @given(raw=scenario_dicts(), data=st.data())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_disc_barriers_match_finite_difference_chain(
+        self, raw, data, tmp_path_factory
+    ):
+        # At the generated starts, and at one drawn state beside each disc,
+        # where the levels are small.
+        sc = _load_generated(raw, tmp_path_factory)
+        dyn = sc.agent_dynamics()
+        states = [a.start for a in sc.agents]
+        for ob in sc.obstacles:
+            bearing = data.draw(st.floats(-math.pi, math.pi))
+            reach = ob.keepout_radius + data.draw(st.floats(0.0, 2.0))
+            states.append(np.array([
+                ob.center[0] + reach * math.cos(bearing),
+                ob.center[1] + reach * math.sin(bearing),
+                data.draw(st.floats(0.0, 2.5)),
+                data.draw(st.floats(-math.pi, math.pi)),
+            ]))
+        h, a, b = disc_barriers(
+            np.array(states), obstacle_discs(sc.obstacles), dyn.noise_cov
+        )
+        for j, ob in enumerate(sc.obstacles):
+            h0 = BarrierFunction.circle(ob.center, ob.radius, ob.margin)
+            h1 = chain_lift(h0, dyn)
+            for s, x in enumerate(states):
+                a_ref, b_ref = constraint_coeffs(h1, dyn, x)
+                np.testing.assert_allclose(
+                    h[s, j], [h0.value(x), h1.value(x)], rtol=1e-9, atol=1e-9
+                )
+                np.testing.assert_allclose(a[s, j], a_ref, rtol=0.0, atol=1e-6)
+                assert abs(b[s, j] - b_ref) <= 1e-6 * max(1.0, abs(b_ref))
